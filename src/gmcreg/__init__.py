@@ -36,8 +36,6 @@ from .operators import (
     LinearOperator,
     ScaledOperator,
     StftFrameOperator,
-    apply_adjoint,
-    apply_forward,
     estimate_gram_norm,
 )
 from .penalties import (

@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentSpec,
     Signal,
     StftDemoSpec,
+    _fmt,
     add_awgn,
     denoise_frame,
     make_chirp,
@@ -35,10 +36,6 @@ from .scalar import FirmParams, firm, soft
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.9g}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,8 +193,8 @@ def cmd_denoise(args) -> int:
         if args.method == "gmc" and not (0.0 <= gamma < 1.0):
             print("error: gamma must lie in [0, 1)", file=sys.stderr)
             return EXIT_USAGE
-        if args.lam <= 0:
-            print("error: lambda must be positive", file=sys.stderr)
+        if not (0 < args.lam < np.inf):
+            print("error: lambda must be positive and finite", file=sys.stderr)
             return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

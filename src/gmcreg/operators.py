@@ -84,21 +84,11 @@ class LinearOperator:
         raise NotImplementedError
 
 
-def apply_forward(op: LinearOperator, x) -> np.ndarray:
-    """Functional form of ``op.forward(x)``."""
-    return op.forward(x)
-
-
-def apply_adjoint(op: LinearOperator, y) -> np.ndarray:
-    """Functional form of ``op.adjoint(y)``."""
-    return op.adjoint(y)
-
-
 class DenseOperator(LinearOperator):
     """Operator backed by an explicit M x N array of entries.
 
     Serves as the reference implementation that oracles and tests compare
-    matrix-free operators against.
+    matrix-free operators against.  Entries must be finite.
     """
 
     def __init__(self, entries):
@@ -107,6 +97,8 @@ class DenseOperator(LinearOperator):
             raise ValueError("entries must be a 2-D array")
         field = COMPLEX if np.iscomplexobj(a) else REAL
         a = a.astype(_FIELD_DTYPE[field])
+        if not np.all(np.isfinite(a)):
+            raise ValueError("entries must be finite (no NaN or infinity)")
         super().__init__(domain_dim=a.shape[1], codomain_dim=a.shape[0], field=field)
         self.entries = a
         self._adjoint_entries = a.conj().T

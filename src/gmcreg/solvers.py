@@ -14,9 +14,10 @@ two of its adjoint plus soft thresholding:
     v'   = soft(u, mu*lam)
 
 At ``gamma = 0`` this is exactly the classic iterative shrinkage /
-thresholding algorithm (ISTA) for the l1-regularized problem.  For complex
-operators the adjoint is the conjugate transpose and soft thresholding
-shrinks moduli.
+thresholding algorithm (ISTA) for the l1-regularized problem: v stays zero,
+so the kernel shared by ``gmc_solve`` and ``ista_solve`` skips its block and
+applies A and its adjoint once each per iteration.  For complex operators
+the adjoint is the conjugate transpose and soft thresholding shrinks moduli.
 
 Solvers hold no hidden state: identical inputs and configuration produce
 bit-identical iterate sequences.
@@ -24,13 +25,13 @@ bit-identical iterate sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .operators import COMPLEX, LinearOperator, estimate_gram_norm
-from .penalties import build_b_from_a, eval_gmc, eval_gmc_many
+from .penalties import build_b_from_a, eval_gmc_many
 from .scalar import FirmParams, firm, soft
 
 
@@ -52,8 +53,8 @@ class SolveConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError("lam must be positive")
+        if not (0 < self.lam < np.inf):
+            raise ValueError("lam must be positive and finite")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1); gamma = 1 breaks the step-size bound")
         if not (self.tol > 0):
@@ -108,16 +109,50 @@ def gmc_solve(
 
     Runs the forward-backward saddle-point iteration from x = v = 0 until
     the larger of the two block changes drops below ``cfg.tol``.  Hitting
-    ``max_iter`` is reported via ``converged=False``, not an exception.
+    ``max_iter`` is reported via ``converged=False``, not an exception; a
+    NaN or infinite entry in ``y`` raises ``ValueError``.
 
     ``callback`` receives each ``SaddleState`` after it is formed.  With
     ``compute_cost_trace`` the full objective is evaluated at every primal
     iterate after the loop finishes (the inner penalty minimization is too
     costly for the hot loop).
     """
+    return _forward_backward(a_op, y, cfg, callback, compute_cost_trace)
+
+
+def ista_solve(
+    a_op: LinearOperator,
+    y,
+    lam: float,
+    cfg: Optional[SolveConfig] = None,
+    callback: Optional[Callable[[SaddleState], None]] = None,
+    compute_cost_trace: bool = False,
+) -> SolveReport:
+    """Classic ISTA for ``0.5*||y - A x||^2 + lam*||x||_1``.
+
+    ``x' = soft(x - mu*A^T(A x - y), mu*lam)`` with ``mu = 1.9/||A^T A||_2``
+    unless overridden via ``cfg.mu``.  This is ``gmc_solve`` at
+    ``gamma = 0`` by construction: both run the same kernel, which at
+    ``gamma = 0`` applies A and its adjoint once each per iteration and
+    holds v at zero.  ``lam`` takes precedence over ``cfg.lam``;
+    ``cfg.gamma`` is ignored.
+    """
+    cfg = SolveConfig(lam=lam) if cfg is None else replace(cfg, lam=lam, gamma=0.0)
+    return _forward_backward(a_op, y, cfg, callback, compute_cost_trace)
+
+
+def _forward_backward(
+    a_op: LinearOperator,
+    y,
+    cfg: SolveConfig,
+    callback: Optional[Callable[[SaddleState], None]],
+    compute_cost_trace: bool,
+) -> SolveReport:
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
         raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite (it holds a NaN or an infinity)")
     mu = _step_size(cfg, estimate_gram_norm(a_op))
     dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(y)) else np.float64
     x = np.zeros(a_op.domain_dim, dtype=dtype)
@@ -128,15 +163,21 @@ def gmc_solve(
     delta = np.inf
     converged = False
     for i in range(cfg.max_iter):
-        w = x - mu * a_op.adjoint(a_op.forward(x + gamma * (v - x)) - y)
-        u = v - mu * gamma * a_op.adjoint(a_op.forward(v - x))
-        x_next = soft(w, mu * lam)
-        v_next = soft(u, mu * lam)
-        delta = max(
-            float(np.max(np.abs(x_next - x), initial=0.0)),
-            float(np.max(np.abs(v_next - v), initial=0.0)),
-        )
-        x, v = x_next, v_next
+        if gamma == 0.0:
+            # ISTA, exactly: x + 0*(v - x) == x and the v block stays 0.0
+            x_next = soft(x - mu * a_op.adjoint(a_op.forward(x) - y), mu * lam)
+            delta = float(np.max(np.abs(x_next - x), initial=0.0))
+        else:
+            w = x - mu * a_op.adjoint(a_op.forward(x + gamma * (v - x)) - y)
+            u = v - mu * gamma * a_op.adjoint(a_op.forward(v - x))
+            x_next = soft(w, mu * lam)
+            v_next = soft(u, mu * lam)
+            delta = max(
+                float(np.max(np.abs(x_next - x), initial=0.0)),
+                float(np.max(np.abs(v_next - v), initial=0.0)),
+            )
+            v = v_next
+        x = x_next
         iterations = i + 1
         if callback is not None:
             callback(SaddleState(x=x, v=v, iter=iterations, delta=delta))
@@ -151,70 +192,6 @@ def gmc_solve(
     return SolveReport(
         x_star=x,
         v_star=v,
-        iterations=iterations,
-        converged=converged,
-        delta=delta,
-        cost_trace=trace,
-    )
-
-
-def ista_solve(
-    a_op: LinearOperator,
-    y,
-    lam: float,
-    cfg: Optional[SolveConfig] = None,
-    callback: Optional[Callable[[SaddleState], None]] = None,
-    compute_cost_trace: bool = False,
-) -> SolveReport:
-    """Classic ISTA for ``0.5*||y - A x||^2 + lam*||x||_1``.
-
-    ``x' = soft(x - mu*A^T(A x - y), mu*lam)`` with ``mu = 1.9/||A^T A||_2``
-    unless overridden via ``cfg.mu``.  Iterate for iterate, this produces
-    exactly the same sequence as ``gmc_solve`` with ``gamma = 0`` and the
-    same step size.  ``lam`` takes precedence over ``cfg.lam``; ``cfg.gamma``
-    is ignored.
-    """
-    if cfg is None:
-        cfg = SolveConfig(lam=lam)
-    else:
-        cfg = SolveConfig(
-            lam=lam, gamma=0.0, mu=cfg.mu, max_iter=cfg.max_iter, tol=cfg.tol
-        )
-    y = np.asarray(y)
-    if y.shape != (a_op.codomain_dim,):
-        raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    mu = _step_size(cfg, estimate_gram_norm(a_op))
-    dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(y)) else np.float64
-    x = np.zeros(a_op.domain_dim, dtype=dtype)
-    xs = [x.copy()] if compute_cost_trace else None
-    iterations = 0
-    delta = np.inf
-    converged = False
-    for i in range(cfg.max_iter):
-        z = x - mu * a_op.adjoint(a_op.forward(x) - y)
-        x_next = soft(z, mu * lam)
-        delta = float(np.max(np.abs(x_next - x), initial=0.0))
-        x = x_next
-        iterations = i + 1
-        if callback is not None:
-            callback(
-                SaddleState(x=x, v=np.zeros_like(x), iter=iterations, delta=delta)
-            )
-        if xs is not None:
-            xs.append(x.copy())
-        if delta <= cfg.tol:
-            converged = True
-            break
-    trace = None
-    if xs is not None:
-        stacked = np.stack(xs, axis=1)
-        r = a_op.forward_multi(stacked) - y[:, None]
-        trace = 0.5 * np.sum(np.abs(r) ** 2, axis=0) + lam * np.sum(
-            np.abs(stacked), axis=0
-        )
-    return SolveReport(
-        x_star=x,
-        v_star=np.zeros_like(x),
         iterations=iterations,
         converged=converged,
         delta=delta,
@@ -263,14 +240,8 @@ def cost_value(
 
     ``gamma = 0`` reduces to the l1 objective (no inner solve needed).
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    r = a_op.forward(x) - y
-    data = 0.5 * float(np.sum(np.abs(r) ** 2))
-    if gamma == 0.0:
-        return data + lam * float(np.sum(np.abs(x)))
-    pen = build_b_from_a(a_op, lam, gamma, inner_tol=inner_tol, inner_max_iter=inner_max_iter)
-    return data + lam * eval_gmc(pen, x)
+    xs = np.asarray(x)[:, None]
+    return float(cost_value_many(a_op, y, lam, gamma, xs, inner_tol, inner_max_iter)[0])
 
 
 def cost_value_many(

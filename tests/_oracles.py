@@ -81,3 +81,38 @@ def psd_factor(gram):
     w, vecs = np.linalg.eigh(np.asarray(gram))
     w = np.clip(w, 0.0, None)
     return (vecs * np.sqrt(w)) @ vecs.T
+
+
+def dense_saddle_iterates(entries, y, lam, gamma, mu, n_iter):
+    """The first ``n_iter`` (x, v) pairs of the two-block saddle recurrence.
+
+    Written out with dense products and a fixed step ``mu``, starting from
+    x = v = 0:
+
+        w  = x - mu * A^H (A (x + gamma*(v - x)) - y)
+        u  = v - mu * gamma * A^H (A (v - x))
+        x' = shrink(w, mu*lam),  v' = shrink(u, mu*lam)
+
+    where ``shrink`` zeroes entries of modulus <= t and moves the others
+    towards zero by t (complex entries keep their phase).
+    """
+    a = np.asarray(entries)
+    y = np.asarray(y)
+    t = mu * lam
+
+    def shrink(z):
+        m = np.abs(z)
+        if np.iscomplexobj(z):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(m > t, (1.0 - t / m) * z, 0.0 + 0.0j)
+        return np.where(m > t, (m - t) * np.sign(z), 0.0)
+
+    x = np.zeros(a.shape[1], dtype=np.result_type(a, y, np.float64))
+    v = np.zeros_like(x)
+    out = []
+    for _ in range(n_iter):
+        w = x - mu * (a.conj().T @ (a @ (x + gamma * (v - x)) - y))
+        u = v - mu * gamma * (a.conj().T @ (a @ (v - x)))
+        x, v = shrink(w), shrink(u)
+        out.append((x, v))
+    return out

@@ -92,6 +92,11 @@ class TestEval:
         b_path = self.write_b(tmp_path, [[1.0, 0.0, 0.0]])
         assert main(["eval", "--b-matrix", str(b_path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_nan_entry_is_usage_error(self, tmp_path, capsys):
+        b_path = self.write_b(tmp_path, [[1.0, float("nan")], [0.0, 1.0]])
+        assert main(["eval", "--b-matrix", str(b_path), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read B matrix" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["eval", "--b-matrix", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
@@ -118,6 +123,10 @@ class TestDenoise:
         assert code == 0
         printed = capsys.readouterr().out
         assert float(printed.split()[1]) <= 1e-4
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, tmp_path, lam):
+        assert main(["denoise", "--lambda", lam, "--out", str(tmp_path / "o")]) == 2
 
     def test_unknown_method(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -7,8 +7,6 @@ from gmcreg import (
     DftFrameOperator,
     ScaledOperator,
     StftFrameOperator,
-    apply_adjoint,
-    apply_forward,
     estimate_gram_norm,
 )
 
@@ -42,11 +40,11 @@ def random_vec(rng, n, complex_field):
 class TestForwardAdjoint:
     def test_identity_forward(self):
         op = DenseOperator(np.eye(3))
-        assert np.allclose(apply_forward(op, [1.0, 2.0, 3.0]), [1, 2, 3])
+        assert np.allclose(op.forward([1.0, 2.0, 3.0]), [1, 2, 3])
 
     def test_identity_adjoint(self):
         op = DenseOperator(np.eye(2))
-        assert np.allclose(apply_adjoint(op, [5.0, 6.0]), [5, 6])
+        assert np.allclose(op.adjoint([5.0, 6.0]), [5, 6])
 
     def test_dense_product(self):
         op = DenseOperator([[1.0, 2.0], [3.0, 4.0]])
@@ -58,6 +56,11 @@ class TestForwardAdjoint:
         e0 = np.zeros(8, dtype=complex)
         e0[0] = 1.0
         assert np.allclose(op.forward(e0), np.full(4, 1 / np.sqrt(8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dense_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DenseOperator([[1.0, bad], [0.0, 1.0]])
 
     def test_dimension_mismatch(self):
         op = DenseOperator(np.ones((2, 3)))

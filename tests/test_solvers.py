@@ -16,7 +16,7 @@ from gmcreg import (
     ScalarPenaltyParams,
 )
 
-from _oracles import grid_argmin_scalar_cost
+from _oracles import dense_gram_lambda_max, dense_saddle_iterates, grid_argmin_scalar_cost
 
 
 def random_instance(rng, m, n):
@@ -33,6 +33,11 @@ class TestConfig:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             SolveConfig(lam=1.0, tol=0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_lam_must_be_positive_and_finite(self, lam):
+        with pytest.raises(ValueError):
+            SolveConfig(lam=lam)
 
     def test_mu_out_of_range(self):
         a = DenseOperator(np.eye(2))
@@ -131,6 +136,48 @@ class TestGmcSolve:
         rep = gmc_solve(a, y, SolveConfig(lam=0.1, gamma=0.5, max_iter=3))
         assert not rep.converged
         assert rep.iterations == 3
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_both_solvers_raise(self, bad):
+        rng = np.random.default_rng(13)
+        a, y = random_instance(rng, 5, 8)
+        y[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gmc_solve(a, y, SolveConfig(lam=0.5, gamma=0.5))
+        with pytest.raises(ValueError, match="finite"):
+            ista_solve(a, y, 0.5)
+
+    def test_complex_nan_raises(self):
+        y = np.ones(16, dtype=complex)
+        y[0] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            gmc_solve(DftFrameOperator(16, 32), y, SolveConfig(lam=0.5))
+
+
+class TestDenseOracle:
+    """``gmc_solve`` against the dense two-block recurrence, bit for bit."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_iterates_match_dense_recurrence(self, gamma, field):
+        rng = np.random.default_rng(14)
+        entries = rng.normal(size=(6, 9))
+        y = rng.normal(size=6)
+        if field == "complex":
+            entries = entries + 1j * rng.normal(size=(6, 9))
+            y = y + 1j * rng.normal(size=6)
+        lam = 0.3
+        mu = 1.0 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
+        cfg = SolveConfig(lam=lam, gamma=gamma, mu=mu, tol=1e-300, max_iter=150)
+        states = []
+        gmc_solve(DenseOperator(entries), y, cfg, callback=states.append)
+        expected = dense_saddle_iterates(entries, y, lam, gamma, mu, len(states))
+        assert len(states) == 150 or states[-1].delta == 0.0
+        for s, (x, v) in zip(states, expected):
+            assert s.x.tobytes() == x.tobytes()
+            assert s.v.tobytes() == v.tobytes()
 
 
 class TestIsta:
