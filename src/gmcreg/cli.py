@@ -16,10 +16,12 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .experiments import (
+    METHODS,
     ExperimentSpec,
     Signal,
     StftDemoSpec,
     _fmt,
+    _write_csv,
     add_awgn,
     denoise_frame,
     make_chirp,
@@ -120,18 +122,10 @@ def _read_signal_csv(path) -> Signal:
     raise ValueError("signal CSV must have one (real) or two (re,im) columns")
 
 
-def _write_signal_csv(samples: np.ndarray, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        if np.iscomplexobj(samples):
-            for v in samples:
-                fh.write(f"{_fmt(v.real)},{_fmt(v.imag)}\n")
-        else:
-            for v in samples:
-                fh.write(f"{_fmt(v)}\n")
-
-
 def lambda_grid(lo: float, hi: float, step: float) -> tuple:
     """Inclusive arithmetic grid; the default flags give 13 values."""
+    if not np.all(np.isfinite((lo, hi, step))):
+        raise ValueError("lambda bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and lambda-max >= lambda-min")
     n_steps = int(round((hi - lo) / step)) + 1
@@ -140,11 +134,6 @@ def lambda_grid(lo: float, hi: float, step: float) -> tuple:
 
 def cmd_sweep(args) -> int:
     try:
-        grid = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         spec = ExperimentSpec(
             signal_len=args.signal_len,
             coef_len=args.coef_len,
@@ -152,7 +141,7 @@ def cmd_sweep(args) -> int:
             amplitudes=(args.a1, args.a2),
             noise_sigma=args.sigma,
             realizations=args.realizations,
-            lambda_grid=grid,
+            lambda_grid=lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step),
             gamma=args.gamma,
             seed=args.seed,
         )
@@ -163,7 +152,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec)
     write_records_csv(result.records, os.path.join(out, "records.csv"))
     write_aggregates_csv(result.aggregates, os.path.join(out, "aggregates.csv"))
-    for method in ("l1", "l1_debiased", "gmc"):
+    for method in METHODS:
         lam, mean = result.best_lambda(method)
         print(f"{method}: best lambda = {_fmt(lam)} (mean rmse = {_fmt(mean)})")
     return EXIT_OK
@@ -202,11 +191,13 @@ def cmd_denoise(args) -> int:
     method = args.method.replace("-", "_")
     result = denoise_frame(noisy, frame, method, args.lam, gamma)
     out = _outdir(args)
-    _write_signal_csv(result.recon.samples, os.path.join(out, "reconstruction.csv"))
-    with open(os.path.join(out, "coefficients.csv"), "w", newline="\n") as fh:
-        fh.write("index,magnitude\n")
-        for i, mag in enumerate(np.abs(result.coef)):
-            fh.write(f"{i},{_fmt(mag)}\n")
+    recon = result.recon.samples
+    cols = (recon.real, recon.imag) if np.iscomplexobj(recon) else (recon,)
+    _write_csv(os.path.join(out, "reconstruction.csv"), zip(*cols))
+    _write_csv(
+        os.path.join(out, "coefficients.csv"),
+        [("index", "magnitude"), *enumerate(np.abs(result.coef))],
+    )
     if not result.converged:
         print("warning: solver stopped on its iteration budget", file=sys.stderr)
     if clean is not None:
@@ -234,10 +225,10 @@ def cmd_eval(args) -> int:
     pts = np.stack([x1.ravel(), x2.ravel()], axis=0)
     _, values = eval_generalized_huber_many(pen, pts)
     out = _outdir(args)
-    with open(os.path.join(out, "penalty_grid.csv"), "w", newline="\n") as fh:
-        fh.write("x1,x2,gen_huber,gmc_penalty\n")
-        for a, b, s in zip(pts[0], pts[1], values):
-            fh.write(f"{_fmt(a)},{_fmt(b)},{_fmt(s)},{_fmt(abs(a) + abs(b) - s)}\n")
+    rows = ((a, b, s, abs(a) + abs(b) - s) for a, b, s in zip(pts[0], pts[1], values))
+    _write_csv(
+        os.path.join(out, "penalty_grid.csv"), [("x1", "x2", "gen_huber", "gmc_penalty"), *rows]
+    )
     print(f"wrote {args.grid_points * args.grid_points} grid rows")
     return EXIT_OK
 
@@ -253,10 +244,7 @@ def cmd_threshold(args) -> int:
     s = soft(y, args.lam)
     f = firm(y, FirmParams(lam=args.lam, mu=args.mu))
     out = _outdir(args)
-    with open(os.path.join(out, "thresholds.csv"), "w", newline="\n") as fh:
-        fh.write("y,soft,firm\n")
-        for yi, si, fi in zip(y, s, f):
-            fh.write(f"{_fmt(yi)},{_fmt(si)},{_fmt(fi)}\n")
+    _write_csv(os.path.join(out, "thresholds.csv"), [("y", "soft", "firm"), *zip(y, s, f)])
     print(f"wrote {args.points} threshold rows")
     return EXIT_OK
 

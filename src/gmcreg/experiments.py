@@ -19,7 +19,7 @@ on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,11 @@ from .solvers import SolveConfig, debias_on_support, gmc_solve, ista_solve
 METHODS = ("l1", "l1_debiased", "gmc")
 
 _DEFAULT_LAMBDAS = tuple(0.5 + 0.25 * k for k in range(13))  # 0.5 .. 3.5
+
+# a coefficient is active when its magnitude exceeds this fraction of the peak
+_ACTIVE_REL_TOL = 1e-3
+
+_RECORDS_HEADER = ("method", "lambda", "realization", "rmse", "nnz")
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,8 @@ class ExperimentSpec:
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be non-empty and strictly increasing")
+        if not all(0.0 < v < np.inf for v in grid):
+            raise ValueError("lambda_grid values must be positive and finite")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
         object.__setattr__(self, "lambda_grid", grid)
@@ -249,13 +256,13 @@ def add_awgn(signal: Signal, sigma: float, seed) -> Signal:
     return Signal(x + sigma * gaussian_draws(len(x), seed))
 
 
-def nonzero_count(coef, rel_tol: float = 1e-3) -> int:
-    """Number of coefficients above ``rel_tol`` times the largest magnitude."""
+def nonzero_count(coef) -> int:
+    """Number of coefficients above 1e-3 times the largest magnitude."""
     mags = np.abs(np.asarray(coef))
     peak = mags.max(initial=0.0)
     if peak == 0.0:
         return 0
-    return int(np.count_nonzero(mags > rel_tol * peak))
+    return int(np.count_nonzero(mags > _ACTIVE_REL_TOL * peak))
 
 
 def denoise_frame(
@@ -290,11 +297,16 @@ def denoise_frame(
         coef = report.x_star
         if method == "l1_debiased":
             coef = debias_on_support(frame, y, coef)
+    return _result(frame, y, coef, report.converged, method, lam)
+
+
+def _result(frame, y, coef, converged: bool, method: str, lam: float) -> DenoiseResult:
+    """Wrap ``coef`` with its frame synthesis, cast to real when ``y`` is real."""
     recon = frame.forward(coef)
     if not np.iscomplexobj(y):
         recon = recon.real
     return DenoiseResult(
-        coef=coef, recon=Signal(recon), converged=report.converged, method=method, lam=lam
+        coef=coef, recon=Signal(recon), converged=converged, method=method, lam=lam
     )
 
 
@@ -314,22 +326,18 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     # carries, so re-aggregating a written file reproduces the aggregates
     for r in range(spec.realizations):
         noisy = add_awgn(clean, spec.noise_sigma, (spec.seed, r))
+        y = noisy.samples
         for lam in spec.lambda_grid:
             l1 = denoise_frame(noisy, frame, "l1", lam, spec.gamma)
-            records.append(
-                SweepRecord("l1", lam, r, _round9(rmse(l1.recon, clean)), nonzero_count(l1.coef))
-            )
-            deb_coef = debias_on_support(frame, _samples(noisy), l1.coef)
-            deb_recon = frame.forward(deb_coef).real
-            records.append(
-                SweepRecord(
-                    "l1_debiased", lam, r, _round9(rmse(deb_recon, clean)), nonzero_count(deb_coef)
+            deb_coef = debias_on_support(frame, y, l1.coef)
+            debiased = _result(frame, y, deb_coef, l1.converged, "l1_debiased", lam)
+            gmc = denoise_frame(noisy, frame, "gmc", lam, spec.gamma)
+            for res in (l1, debiased, gmc):
+                records.append(
+                    SweepRecord(
+                        res.method, lam, r, _round9(rmse(res.recon, clean)), nonzero_count(res.coef)
+                    )
                 )
-            )
-            g = denoise_frame(noisy, frame, "gmc", lam, spec.gamma)
-            records.append(
-                SweepRecord("gmc", lam, r, _round9(rmse(g.recon, clean)), nonzero_count(g.coef))
-            )
     records.sort(key=lambda rec: (METHODS.index(rec.method), rec.lam, rec.realization))
     return SweepResult(records=tuple(records), aggregates=tuple(aggregate(records)))
 
@@ -354,21 +362,20 @@ def run_stft_demo(
     lam_l1: float = 0.03,
     lam_gmc: float = 0.05,
     gamma: float = 0.7,
-    tol: float = 1e-6,
-    max_iter: int = 40_000,
 ) -> StftDemoReport:
     """Denoise the synthetic chirp with l1 and GMC penalties and compare.
 
     Reports time-domain reconstruction RMSE against the clean chirp and the
     number of active time-frequency coefficients for each method.  The
     default weights give the two methods comparable RMSE on the default
-    spec; at matched RMSE the GMC support is the smaller one.
+    spec; at matched RMSE the GMC support is the smaller one.  Both solves
+    use ``denoise_frame``'s default tolerance and iteration budget.
     """
     clean = make_chirp(spec)
     noisy = add_awgn(clean, spec.noise_sigma, spec.seed)
     frame = StftFrameOperator(spec.signal_len, spec.segment_len)
-    l1 = denoise_frame(noisy, frame, "l1", lam_l1, tol=tol, max_iter=max_iter)
-    g = denoise_frame(noisy, frame, "gmc", lam_gmc, gamma, tol=tol, max_iter=max_iter)
+    l1 = denoise_frame(noisy, frame, "l1", lam_l1)
+    g = denoise_frame(noisy, frame, "gmc", lam_gmc, gamma)
     return StftDemoReport(
         lam_l1=lam_l1,
         lam_gmc=lam_gmc,
@@ -382,13 +389,11 @@ def run_stft_demo(
     )
 
 
-def coefficient_clusters(
-    coef, frame: DftFrameOperator, rel_tol: float = 1e-3
-) -> list[tuple[float, float]]:
+def coefficient_clusters(coef, frame: DftFrameOperator) -> list[tuple[float, float]]:
     """Sinusoidal components found in a DFT-frame coefficient vector.
 
     Positive-frequency bins (``1 <= n < N/2``) whose magnitude exceeds
-    ``rel_tol`` of the peak are grouped into contiguous clusters.  Each
+    1e-3 of the peak are grouped into contiguous clusters.  Each
     cluster is synthesized on its own (together with its conjugate-partner
     bins) and reported as a ``(frequency, amplitude)`` pair: the
     magnitude-weighted mean frequency and the peak of the synthesized
@@ -401,7 +406,7 @@ def coefficient_clusters(
     mags = np.abs(coef[1:half])
     if mags.size == 0 or mags.max() == 0.0:
         return []
-    active = mags > rel_tol * mags.max()
+    active = mags > _ACTIVE_REL_TOL * mags.max()
     clusters = []
     start = None
     for i, flag in enumerate(np.append(active, False)):
@@ -431,25 +436,21 @@ def _round9(v: float) -> float:
     return float(_fmt(float(v)))
 
 
+def _write_csv(path, rows) -> None:
+    """Write one line per row: strings verbatim, numbers through ``_fmt``."""
+    with open(path, "w", newline="\n") as fh:
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+
+
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:
     """Write per-cell records: header ``method,lambda,realization,rmse,nnz``."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,lambda,realization,rmse,nnz\n")
-        for rec in records:
-            fh.write(
-                f"{rec.method},{_fmt(rec.lam)},{rec.realization},"
-                f"{_fmt(rec.rmse)},{rec.nnz}\n"
-            )
+    _write_csv(path, [_RECORDS_HEADER, *map(astuple, records)])
 
 
 def write_aggregates_csv(aggregates: Sequence[SweepAggregate], path) -> None:
     """Write aggregates: header ``method,lambda,rmse_mean,rmse_std``."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,lambda,rmse_mean,rmse_std\n")
-        for agg in aggregates:
-            fh.write(
-                f"{agg.method},{_fmt(agg.lam)},{_fmt(agg.rmse_mean)},{_fmt(agg.rmse_std)}\n"
-            )
+    _write_csv(path, [("method", "lambda", "rmse_mean", "rmse_std"), *map(astuple, aggregates)])
 
 
 def read_records_csv(path) -> list[SweepRecord]:
@@ -457,7 +458,7 @@ def read_records_csv(path) -> list[SweepRecord]:
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "method,lambda,realization,rmse,nnz":
+        if header != ",".join(_RECORDS_HEADER):
             raise ValueError(f"unexpected records header: {header!r}")
         for line in fh:
             method, lam, realization, value, nnz = line.strip().split(",")

@@ -64,46 +64,40 @@ class InnerSolution:
 
     ``v_star`` attains the minimum, ``value`` is the generalized Huber value
     at the queried point, ``residual`` the final sup-norm fixed-point change.
+    When ``v_star`` holds one column per query point (a batched solve that
+    ran out of iterations), ``value`` is the matching per-column array.
     """
 
     v_star: np.ndarray
-    value: float
+    value: float | np.ndarray
     iterations: int
     residual: float
 
 
-def build_b_from_a(
-    a_op: LinearOperator,
-    lam: float,
-    gamma: float,
-    inner_tol: float = 1e-10,
-    inner_max_iter: int = 100_000,
-) -> GmcPenalty:
+def build_b_from_a(a_op: LinearOperator, lam: float, gamma: float) -> GmcPenalty:
     """Construct the penalty with B = sqrt(gamma/lam) * A.
 
     Then B^T B = (gamma/lam) A^T A, and for ``0 <= gamma <= 1`` the combined
     cost ``0.5*||y - A x||^2 + lam * gmc_B(x)`` is convex.  ``gamma`` outside
-    [0, 1] is rejected because that guarantee is lost.
+    [0, 1] is rejected because that guarantee is lost.  The inner solve keeps
+    ``GmcPenalty``'s defaults: tolerance 1e-10, 100 000 iterations.
     """
     if not (lam > 0):
         raise ValueError("lam must be positive")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1] to preserve cost convexity")
     scale = np.sqrt(gamma / lam)
-    return GmcPenalty(
-        ScaledOperator(a_op, scale), inner_tol=inner_tol, inner_max_iter=inner_max_iter
-    )
+    return GmcPenalty(ScaledOperator(a_op, scale))
 
 
-def _as_columns(pen: GmcPenalty, x) -> tuple[np.ndarray, bool]:
+def _as_columns(pen: GmcPenalty, x) -> np.ndarray:
     x = np.asarray(x)
-    single = x.ndim == 1
-    if single:
+    if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] != pen.domain_dim:
         raise ValueError(f"expected vectors of length {pen.domain_dim}, got shape {x.shape}")
     dtype = np.complex128 if (pen.b_op.field == COMPLEX or np.iscomplexobj(x)) else np.float64
-    return x.astype(dtype), single
+    return x.astype(dtype)
 
 
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray):
@@ -127,12 +121,14 @@ def _inner_solve(pen: GmcPenalty, xs: np.ndarray):
         v = v_next
         if resid <= pen.inner_tol:
             return v, _inner_values(pen, xs, v), it, resid
+    values = _inner_values(pen, xs, v)
+    single = v.shape[1] == 1
     raise ConvergenceError(
         f"inner shrinkage iteration did not reach tol={pen.inner_tol} "
         f"in {pen.inner_max_iter} iterations",
         best=InnerSolution(
-            v_star=v[:, 0] if v.shape[1] == 1 else v,
-            value=float(_inner_values(pen, xs, v)[0]),
+            v_star=v[:, 0] if single else v,
+            value=float(values[0]) if single else values,
             iterations=pen.inner_max_iter,
             residual=resid,
         ),
@@ -151,7 +147,7 @@ def eval_generalized_huber(pen: GmcPenalty, x) -> InnerSolution:
     Raises ``ConvergenceError`` (with the best iterate attached) if the inner
     iteration budget is exhausted.
     """
-    xs, _ = _as_columns(pen, x)
+    xs = _as_columns(pen, x)
     if xs.shape[1] != 1:
         raise ValueError("eval_generalized_huber takes a single vector; use eval_generalized_huber_many")
     v, values, iters, resid = _inner_solve(pen, xs)
@@ -166,7 +162,7 @@ def eval_generalized_huber_many(pen: GmcPenalty, xs) -> tuple[np.ndarray, np.nda
     Returns ``(v_star, values)`` with matching column layout.  The iteration
     runs until every column meets the tolerance.
     """
-    cols, _ = _as_columns(pen, xs)
+    cols = _as_columns(pen, xs)
     v, values, _, _ = _inner_solve(pen, cols)
     return v, values
 
@@ -176,21 +172,21 @@ def grad_generalized_huber(pen: GmcPenalty, x) -> np.ndarray:
 
     Every entry has magnitude at most 1.
     """
-    xs, _ = _as_columns(pen, x)
+    xs = _as_columns(pen, x)
     sol = eval_generalized_huber(pen, xs[:, 0])
     return pen.b_op.adjoint(pen.b_op.forward(xs[:, 0] - sol.v_star))
 
 
 def eval_gmc(pen: GmcPenalty, x) -> float:
     """GMC penalty value ``||x||_1 - gen_huber(x)``; lies in [0, ||x||_1]."""
-    xs, _ = _as_columns(pen, x)
+    xs = _as_columns(pen, x)
     sol = eval_generalized_huber(pen, xs[:, 0])
     return float(np.sum(np.abs(xs[:, 0])) - sol.value)
 
 
 def eval_gmc_many(pen: GmcPenalty, xs) -> np.ndarray:
     """Batched GMC penalty values for the columns of ``xs``."""
-    cols, _ = _as_columns(pen, xs)
+    cols = _as_columns(pen, xs)
     _, values = eval_generalized_huber_many(pen, cols)
     return np.sum(np.abs(cols), axis=0) - values
 
@@ -202,6 +198,6 @@ def in_quadratic_region(pen: GmcPenalty, x) -> bool:
     ``0.5 * ||B x||_2^2`` and the GMC penalty equals
     ``||x||_1 - 0.5 * ||B x||_2^2``.
     """
-    xs, _ = _as_columns(pen, x)
+    xs = _as_columns(pen, x)
     g = pen.b_op.adjoint(pen.b_op.forward(xs[:, 0]))
     return bool(np.max(np.abs(g)) <= 1.0)

@@ -227,54 +227,42 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
     return np.asarray(firm(t, FirmParams(lam=thr, mu=lam / (gamma * a2))))
 
 
-def cost_value(
-    a_op: LinearOperator,
-    y,
-    lam: float,
-    gamma: float,
-    x,
-    inner_tol: float = 1e-10,
-    inner_max_iter: int = 100_000,
-) -> float:
+def cost_value(a_op: LinearOperator, y, lam: float, gamma: float, x) -> float:
     """Objective value ``0.5*||y - A x||^2 + lam * gmc_B(x)``, B from A.
 
     ``gamma = 0`` reduces to the l1 objective (no inner solve needed).
     """
     xs = np.asarray(x)[:, None]
-    return float(cost_value_many(a_op, y, lam, gamma, xs, inner_tol, inner_max_iter)[0])
+    return float(cost_value_many(a_op, y, lam, gamma, xs)[0])
 
 
-def cost_value_many(
-    a_op: LinearOperator,
-    y,
-    lam: float,
-    gamma: float,
-    xs,
-    inner_tol: float = 1e-10,
-    inner_max_iter: int = 100_000,
-) -> np.ndarray:
-    """Objective values for the columns of ``xs`` (one inner solve, batched)."""
+def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np.ndarray:
+    """Objective values for the columns of ``xs`` (one inner solve, batched).
+
+    The penalty comes from ``build_b_from_a``, so its inner solve runs to
+    tolerance 1e-10 within 100 000 iterations.
+    """
     xs = np.asarray(xs)
     y = np.asarray(y)
     r = a_op.forward_multi(xs) - y[:, None]
     data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
     if gamma == 0.0:
         return data + lam * np.sum(np.abs(xs), axis=0)
-    pen = build_b_from_a(a_op, lam, gamma, inner_tol=inner_tol, inner_max_iter=inner_max_iter)
+    pen = build_b_from_a(a_op, lam, gamma)
     return data + lam * eval_gmc_many(pen, xs)
 
 
-def debias_on_support(a_op: LinearOperator, y, x, threshold: float = 1e-8) -> np.ndarray:
+def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:
     """Re-fit the nonzero entries of ``x`` by unregularized least squares.
 
-    The support is ``|x_n| > threshold``; the corresponding columns of A are
+    The support is ``|x_n| > 1e-8``; the corresponding columns of A are
     materialized by applying the operator to basis vectors and the restricted
     normal equations are solved (least-norm if singular).  Entries off the
     support stay zero.
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    support = np.flatnonzero(np.abs(x) > threshold)
+    support = np.flatnonzero(np.abs(x) > 1e-8)
     out = np.zeros(x.shape, dtype=np.result_type(x.dtype, a_op.dtype))
     if support.size == 0:
         return out

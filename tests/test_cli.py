@@ -154,6 +154,28 @@ class TestDenoise:
         assert printed.startswith("rmse_vs_input ")
         assert float(printed.split()[1]) <= 1e-4
 
+    def test_complex_input_csv_layout(self, tmp_path):
+        m = np.arange(128)
+        samples = np.exp(2j * np.pi * 0.1 * m) + 0.3 * np.cos(2 * np.pi * 0.3 * m)
+        sig = tmp_path / "sig.csv"
+        sig.write_text("".join(f"{float(v.real)!r},{float(v.imag)!r}\n" for v in samples))
+        out = tmp_path / "o"
+        code = main(
+            ["denoise", "--input", str(sig), "--method", "l1", "--lambda", "0.3",
+             "--coef-len", "128", "--out", str(out)]
+        )
+        assert code == 0
+        # no header: one re,im pair per sample, each printed to 9 significant digits
+        lines = (out / "reconstruction.csv").read_text().splitlines()
+        assert len(lines) == 128
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == 2
+            assert all(c == f"{float(c):.9g}" for c in cells)
+        header, rows = read_csv(out / "coefficients.csv")
+        assert header == ["index", "magnitude"]
+        assert [r[0] for r in rows] == [str(i) for i in range(128)]
+
     def test_stft_chirp(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(
@@ -189,6 +211,20 @@ class TestSweep:
 
     def test_gamma_one_rejected(self, tmp_path):
         assert main(["sweep", "--gamma", "1.0", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lambda-min", "0"],
+            ["--lambda-min", "-1"],
+            ["--lambda-max", "inf"],
+            ["--lambda-step", "inf"],
+        ],
+    )
+    def test_bad_lambda_grid_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["sweep", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: lambda")
+        assert not (tmp_path / "o").exists()
 
     def test_default_grid_has_13_lambdas(self):
         assert len(ExperimentSpec().lambda_grid) == 13

@@ -51,8 +51,9 @@ class TestSignals:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(frequencies=(0.1, 0.6))
-        with pytest.raises(ValueError):
-            ExperimentSpec(lambda_grid=(1.0, 0.5))
+        for grid in [(1.0, 0.5), (np.nan,), (np.inf,), (-1.0,), (0.0, 1.0)]:
+            with pytest.raises(ValueError):
+                ExperimentSpec(lambda_grid=grid)
         with pytest.raises(ValueError):
             ExperimentSpec(realizations=0)
         with pytest.raises(ValueError):
