@@ -71,6 +71,7 @@ from .solvers import (
     diagonal_solve,
     gmc_solve,
     ista_solve,
+    solve_many,
 )
 
 __version__ = "0.1.0"

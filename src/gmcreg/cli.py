@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+# lambda_grid refuses longer grids: a tiny --lambda-step would never finish
+_MAX_GRID_STEPS = 10_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -123,13 +126,15 @@ def _read_signal_csv(path) -> Signal:
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> tuple:
-    """Inclusive arithmetic grid; the default flags give 13 values."""
+    """Inclusive arithmetic grid of at most 10 001 values; the default flags give 13."""
     if not np.all(np.isfinite((lo, hi, step))):
         raise ValueError("lambda bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and lambda-max >= lambda-min")
-    n_steps = int(round((hi - lo) / step)) + 1
-    return tuple(lo + step * k for k in range(n_steps))
+    steps = (hi - lo) / step
+    if not steps <= _MAX_GRID_STEPS:  # also catches an overflow to inf
+        raise ValueError(f"lambda grid would take more than {_MAX_GRID_STEPS} steps")
+    return tuple(lo + step * k for k in range(int(round(steps)) + 1))
 
 
 def cmd_sweep(args) -> int:

@@ -66,22 +66,27 @@ class LinearOperator:
         xs = np.asarray(xs)
         if xs.ndim != 2 or xs.shape[0] != self.domain_dim:
             raise ValueError(f"expected shape ({self.domain_dim}, k), got {xs.shape}")
-        cols = [self._forward(xs[:, j]) for j in range(xs.shape[1])]
-        return np.stack(cols, axis=1)
+        return _per_column(self._forward, xs)
 
     def adjoint_multi(self, ys) -> np.ndarray:
         """Apply ``adjoint`` to each column of an (M, k) array."""
         ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[0] != self.codomain_dim:
             raise ValueError(f"expected shape ({self.codomain_dim}, k), got {ys.shape}")
-        cols = [self._adjoint(ys[:, j]) for j in range(ys.shape[1])]
-        return np.stack(cols, axis=1)
+        return _per_column(self._adjoint, ys)
 
     def _forward(self, x):
         raise NotImplementedError
 
     def _adjoint(self, y):
         raise NotImplementedError
+
+
+def _per_column(apply, cols) -> np.ndarray:
+    """Stack ``apply`` of each column; one column skips the list and the stack."""
+    if cols.shape[1] == 1:
+        return apply(cols[:, 0])[:, None]
+    return np.stack([apply(cols[:, j]) for j in range(cols.shape[1])], axis=1)
 
 
 class DenseOperator(LinearOperator):

@@ -70,13 +70,22 @@ def soft(y, lam):
     if np.any(lam < 0):
         raise ValueError("threshold lam must be non-negative")
     y_arr = np.asarray(y)
-    a = np.abs(y_arr)
-    if np.iscomplexobj(y_arr):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(a > lam, (1.0 - lam / a) * y_arr, 0.0 + 0.0j)
-    else:
-        out = np.where(a > lam, (a - lam) * np.sign(y_arr), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _shrink(y_arr, lam)
     return _maybe_scalar(out, y)
+
+
+def _shrink(y, thr):
+    """``soft`` without its checks, for the solver loop.
+
+    ``thr`` broadcasts against ``y``, e.g. (1, k) thresholds for an (N, k)
+    block.  A complex zero divides by zero in the branch ``np.where``
+    discards, so callers silence that warning with ``np.errstate``.
+    """
+    a = np.abs(y)
+    if np.iscomplexobj(y):
+        return np.where(a > thr, (1.0 - thr / a) * y, 0.0 + 0.0j)
+    return np.where(a > thr, (a - thr) * np.sign(y), 0.0)
 
 
 def huber(x):

@@ -15,9 +15,17 @@ two of its adjoint plus soft thresholding:
 
 At ``gamma = 0`` this is exactly the classic iterative shrinkage /
 thresholding algorithm (ISTA) for the l1-regularized problem: v stays zero,
-so the kernel shared by ``gmc_solve`` and ``ista_solve`` skips its block and
-applies A and its adjoint once each per iteration.  For complex operators
-the adjoint is the conjugate transpose and soft thresholding shrinks moduli.
+so the kernel skips its block and applies A and its adjoint once each per
+iteration.  For complex operators the adjoint is the conjugate transpose
+and soft thresholding shrinks moduli.
+
+One kernel iterates an (N, k) block of independent problems on a single
+operator, each column with its own ``lam``.  ``solve_many`` hands it k
+columns; ``gmc_solve`` and ``ista_solve`` are its k = 1 case, bit-identical
+to a one-vector loop.  A column leaves the block when it converges or runs
+out of budget, after the same number of iterations as its solo solve; its
+iterates differ from the solo solve's only by the rounding of a
+matrix-matrix against a matrix-vector product.
 
 Solvers hold no hidden state: identical inputs and configuration produce
 bit-identical iterate sequences.
@@ -26,13 +34,13 @@ bit-identical iterate sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .operators import COMPLEX, LinearOperator, estimate_gram_norm
 from .penalties import build_b_from_a, eval_gmc_many
-from .scalar import FirmParams, firm, soft
+from .scalar import FirmParams, _shrink, firm, soft
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,13 @@ def gmc_solve(
     ``max_iter`` is reported via ``converged=False``, not an exception; a
     NaN or infinite entry in ``y`` raises ``ValueError``.
 
-    ``callback`` receives each ``SaddleState`` after it is formed.  With
+    ``callback`` receives each ``SaddleState`` after it is formed, with
+    numpy's divide and invalid warnings off, as in the loop.  With
     ``compute_cost_trace`` the full objective is evaluated at every primal
     iterate after the loop finishes (the inner penalty minimization is too
     costly for the hot loop).
     """
-    return _forward_backward(a_op, y, cfg, callback, compute_cost_trace)
+    return _solve_one(a_op, y, cfg, callback, compute_cost_trace)
 
 
 def ista_solve(
@@ -138,65 +147,110 @@ def ista_solve(
     ``cfg.gamma`` is ignored.
     """
     cfg = SolveConfig(lam=lam) if cfg is None else replace(cfg, lam=lam, gamma=0.0)
-    return _forward_backward(a_op, y, cfg, callback, compute_cost_trace)
+    return _solve_one(a_op, y, cfg, callback, compute_cost_trace)
+
+
+def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[SolveReport, ...]:
+    """``gmc_solve(a_op, ys[:, j], cfgs[j])`` for every column j, as one block.
+
+    ``ys`` is (M, k) and ``cfgs`` holds k configurations that may differ in
+    ``lam`` only: they must agree on ``gamma``, ``mu``, ``tol`` and
+    ``max_iter``.  The Gram norm is estimated once for the block, and each
+    iteration applies A and its adjoint to all live columns at once.  A
+    column stops at its own tolerance or budget, with the iteration count
+    of its solo solve; its iterates match the solo solve's up to the
+    rounding of a matrix-matrix against a matrix-vector product.
+    """
+    ys = np.asarray(ys)
+    cfgs = tuple(cfgs)
+    if ys.shape != (a_op.codomain_dim, len(cfgs)):
+        raise ValueError(
+            f"ys must have shape ({a_op.codomain_dim}, {len(cfgs)}) for {len(cfgs)} cfgs, "
+            f"got {ys.shape}"
+        )
+    if not cfgs:
+        raise ValueError("solve_many needs at least one column")
+    if len({(c.gamma, c.mu, c.tol, c.max_iter) for c in cfgs}) != 1:
+        raise ValueError("cfgs must agree on gamma, mu, tol and max_iter")
+    return _forward_backward(a_op, ys, cfgs)
+
+
+def _solve_one(a_op, y, cfg, callback, compute_cost_trace) -> SolveReport:
+    y = np.asarray(y)
+    if y.shape != (a_op.codomain_dim,):
+        raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
+    (report,) = _forward_backward(a_op, y[:, None], (cfg,), callback, compute_cost_trace)
+    return report
 
 
 def _forward_backward(
     a_op: LinearOperator,
-    y,
-    cfg: SolveConfig,
-    callback: Optional[Callable[[SaddleState], None]],
-    compute_cost_trace: bool,
-) -> SolveReport:
-    y = np.asarray(y)
-    if y.shape != (a_op.codomain_dim,):
-        raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    ys: np.ndarray,
+    cfgs: tuple,
+    callback: Optional[Callable[[SaddleState], None]] = None,
+    compute_cost_trace: bool = False,
+) -> tuple[SolveReport, ...]:
+    """Iterate the (N, k) block of problems ``ys[:, j]`` under ``cfgs[j]``.
+
+    The cfgs share everything but ``lam``.  A column whose change drops to
+    ``tol``, or whose budget runs out, is written out and leaves the block.
+    The callback and the cost trace follow column 0; only single solves
+    use them.
+    """
+    if not np.all(np.isfinite(ys)):
         raise ValueError("y must be finite (it holds a NaN or an infinity)")
+    cfg = cfgs[0]
     mu = _step_size(cfg, estimate_gram_norm(a_op))
-    dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(y)) else np.float64
-    x = np.zeros(a_op.domain_dim, dtype=dtype)
-    v = np.zeros(a_op.domain_dim, dtype=dtype)
-    gamma, lam = cfg.gamma, cfg.lam
-    xs = [x.copy()] if compute_cost_trace else None
-    iterations = 0
-    delta = np.inf
-    converged = False
-    for i in range(cfg.max_iter):
-        if gamma == 0.0:
-            # ISTA, exactly: x + 0*(v - x) == x and the v block stays 0.0
-            x_next = soft(x - mu * a_op.adjoint(a_op.forward(x) - y), mu * lam)
-            delta = float(np.max(np.abs(x_next - x), initial=0.0))
-        else:
-            w = x - mu * a_op.adjoint(a_op.forward(x + gamma * (v - x)) - y)
-            u = v - mu * gamma * a_op.adjoint(a_op.forward(v - x))
-            x_next = soft(w, mu * lam)
-            v_next = soft(u, mu * lam)
-            delta = max(
-                float(np.max(np.abs(x_next - x), initial=0.0)),
-                float(np.max(np.abs(v_next - v), initial=0.0)),
-            )
-            v = v_next
-        x = x_next
-        iterations = i + 1
-        if callback is not None:
-            callback(SaddleState(x=x, v=v, iter=iterations, delta=delta))
-        if xs is not None:
-            xs.append(x.copy())
-        if delta <= cfg.tol:
-            converged = True
-            break
-    trace = None
+    gamma, tol, max_iter = cfg.gamma, cfg.tol, cfg.max_iter
+    dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
+    x = np.zeros((a_op.domain_dim, ys.shape[1]), dtype=dtype)
+    v = np.zeros_like(x)
+    thr = mu * np.array([[c.lam for c in cfgs]])
+    live = np.arange(ys.shape[1])  # original index of each block column
+    reports = [None] * ys.shape[1]
+    y0 = ys[:, 0]
+    xs = [x[:, 0].copy()] if compute_cost_trace else None
+    # _shrink divides by |w| in the branch np.where discards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, max_iter + 1):
+            if gamma == 0.0:
+                # ISTA, exactly: x + 0*(v - x) == x and the v block stays 0.0
+                x_next = _shrink(x - mu * a_op.adjoint_multi(a_op.forward_multi(x) - ys), thr)
+                delta = np.max(np.abs(x_next - x), axis=0, initial=0.0)
+            else:
+                w = x - mu * a_op.adjoint_multi(a_op.forward_multi(x + gamma * (v - x)) - ys)
+                u = v - mu * gamma * a_op.adjoint_multi(a_op.forward_multi(v - x))
+                x_next = _shrink(w, thr)
+                v_next = _shrink(u, thr)
+                delta = np.maximum(
+                    np.max(np.abs(x_next - x), axis=0, initial=0.0),
+                    np.max(np.abs(v_next - v), axis=0, initial=0.0),
+                )
+                v = v_next
+            x = x_next
+            if callback is not None:
+                callback(SaddleState(x=x[:, 0], v=v[:, 0], iter=i, delta=float(delta[0])))
+            if xs is not None:
+                xs.append(x[:, 0].copy())
+            done = (delta <= tol) | (i == max_iter)
+            if not done.any():
+                continue
+            for j in np.flatnonzero(done):
+                reports[live[j]] = SolveReport(
+                    x_star=x[:, j].copy(),
+                    v_star=v[:, j].copy(),
+                    iterations=i,
+                    converged=bool(delta[j] <= tol),
+                    delta=float(delta[j]),
+                )
+            if done.all():
+                break
+            keep = ~done
+            x, v, ys, thr, live = x[:, keep], v[:, keep], ys[:, keep], thr[:, keep], live[keep]
     if xs is not None:
-        trace = cost_value_many(a_op, y, lam, gamma, np.stack(xs, axis=1))
-    return SolveReport(
-        x_star=x,
-        v_star=v,
-        iterations=iterations,
-        converged=converged,
-        delta=delta,
-        cost_trace=trace,
-    )
+        trace = cost_value_many(a_op, y0, cfg.lam, gamma, np.stack(xs, axis=1))
+        reports[0] = replace(reports[0], cost_trace=trace)
+    return tuple(reports)
 
 
 def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:

@@ -219,6 +219,8 @@ class TestSweep:
             ["--lambda-min", "-1"],
             ["--lambda-max", "inf"],
             ["--lambda-step", "inf"],
+            ["--lambda-max", "1e308", "--lambda-step", "1e-308"],
+            ["--lambda-step", "1e-300"],
         ],
     )
     def test_bad_lambda_grid_is_usage_error(self, tmp_path, capsys, flags):

@@ -162,6 +162,17 @@ class TestSweep:
             assert agg.rmse_mean == pytest.approx(np.mean(vals), abs=1e-15)
             assert agg.rmse_std == pytest.approx(np.std(vals), abs=1e-15)
 
+    def test_records_match_denoise_frame(self, quick_sweep):
+        # run_sweep solves its cells as blocks; each record is still the
+        # per-cell denoise_frame result
+        frame = DftFrameOperator(QUICK_SPEC.signal_len, QUICK_SPEC.coef_len)
+        clean = make_two_sine(QUICK_SPEC)
+        for rec in quick_sweep.records:
+            noisy = add_awgn(clean, QUICK_SPEC.noise_sigma, (QUICK_SPEC.seed, rec.realization))
+            d = denoise_frame(noisy, frame, rec.method, rec.lam, QUICK_SPEC.gamma)
+            assert rec.rmse == float(f"{rmse(d.recon, clean):.9g}")
+            assert rec.nnz == nonzero_count(d.coef)
+
     def test_deterministic(self, quick_sweep, tmp_path):
         again = run_sweep(QUICK_SPEC)
         assert again == quick_sweep

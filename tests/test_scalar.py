@@ -15,6 +15,7 @@ from gmcreg import (
     scaled_mc,
     soft,
 )
+from gmcreg.scalar import _shrink
 
 from _oracles import (
     grid_argmin_complex_shrink,
@@ -58,6 +59,52 @@ class TestSoft:
         out = float(soft(y, lam))
         assert abs(out) <= abs(y) + 1e-15
         assert abs(out - y) <= lam + 1e-12
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _unchecked_shrink(y, thr):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _shrink(y, thr)
+
+
+edge_parts = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0, 4.0])
+parts = st.one_of(edge_parts, st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # subnormal |y|
+class TestShrink:
+    """The solver's unchecked ``_shrink`` agrees with ``soft`` bit for bit."""
+
+    @given(st.data(), st.lists(parts, min_size=1, max_size=10), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_vector_matches_soft(self, data, values, complex_input):
+        y = np.array(values)
+        if complex_input:
+            y = y + 1j * np.array(data.draw(st.lists(parts, min_size=y.size, max_size=y.size)))
+        # thresholds include 0 and exact ties |y_n| == thr
+        thr = data.draw(
+            st.one_of(st.just(0.0), st.sampled_from(np.abs(y).tolist()), st.floats(0.0, 5.0))
+        )
+        assert _bits(_unchecked_shrink(y, np.asarray(thr))) == _bits(soft(y, thr))
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 5), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_soft_per_column(self, data, n, k, complex_input):
+        y = np.array(data.draw(st.lists(parts, min_size=n * k, max_size=n * k))).reshape(n, k)
+        if complex_input:
+            im = data.draw(st.lists(parts, min_size=n * k, max_size=n * k))
+            y = y + 1j * np.array(im).reshape(n, k)
+        mags = np.abs(y).ravel().tolist()
+        thr = np.array(
+            [data.draw(st.one_of(st.just(0.0), st.sampled_from(mags), st.floats(0.0, 5.0))) for _ in range(k)]
+        )
+        got = _unchecked_shrink(y, thr[None, :])
+        for j in range(k):
+            assert _bits(got[:, j]) == _bits(soft(y[:, j], thr[j]))
 
 
 class TestHuber:

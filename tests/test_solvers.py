@@ -14,6 +14,8 @@ from gmcreg import (
     ista_solve,
     scalar_minimize,
     ScalarPenaltyParams,
+    StftFrameOperator,
+    solve_many,
 )
 
 from _oracles import dense_gram_lambda_max, dense_saddle_iterates, grid_argmin_scalar_cost
@@ -178,6 +180,87 @@ class TestDenseOracle:
         for s, (x, v) in zip(states, expected):
             assert s.x.tobytes() == x.tobytes()
             assert s.v.tobytes() == v.tobytes()
+
+
+def _block_problem(kind):
+    """An operator and a (M, 4) block whose column 0 is zero."""
+    rng = np.random.default_rng(18)
+    entries = rng.normal(size=(6, 9))
+    if kind == "dft":
+        op = DftFrameOperator(20, 48)
+    elif kind == "stft":
+        op = StftFrameOperator(90, 16)
+    elif kind == "dense_real":
+        op = DenseOperator(entries)
+    else:
+        op = DenseOperator(entries + 1j * rng.normal(size=(6, 9)))
+    ys = rng.normal(size=(op.codomain_dim, 4))
+    if kind == "dense_complex":
+        ys = ys + 1j * rng.normal(size=ys.shape)
+    ys[:, 0] = 0.0
+    return op, ys
+
+
+class TestSolveMany:
+    """Each ``solve_many`` column against its solo ``gmc_solve``."""
+
+    LAMS = (0.5, 0.2, 0.6, 0.35)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "kind", ["dense_real", "dense_complex", "dense_complex_real_y", "dft", "stft"]
+    )
+    def test_columns_match_solo_solves(self, kind, gamma):
+        op, ys = _block_problem(kind)
+        budgets = [
+            gmc_solve(op, ys[:, j], SolveConfig(lam=lam, gamma=gamma, tol=1e-8)).iterations
+            for j, lam in enumerate(self.LAMS)
+        ]
+        # the slowest column runs out of budget while the others converge
+        max_iter = max(budgets) - 1
+        cfgs = [SolveConfig(lam=lam, gamma=gamma, tol=1e-8, max_iter=max_iter) for lam in self.LAMS]
+        reports = solve_many(op, ys, cfgs)
+        solos = [gmc_solve(op, ys[:, j], cfg) for j, cfg in enumerate(cfgs)]
+        assert reports[0].iterations == 1 and reports[0].converged
+        assert not all(r.converged for r in reports)
+        assert sum(r.converged for r in reports) >= 2
+        for rep, solo in zip(reports, solos):
+            assert rep.iterations == solo.iterations
+            assert rep.converged == solo.converged
+            assert rep.x_star.shape == solo.x_star.shape
+            if kind == "stft":  # per-column operator: the very same arithmetic
+                assert rep.x_star.tobytes() == solo.x_star.tobytes()
+                assert rep.v_star.tobytes() == solo.v_star.tobytes()
+            else:
+                assert np.max(np.abs(rep.x_star - solo.x_star)) <= 1e-12
+                assert np.max(np.abs(rep.v_star - solo.v_star)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            SolveConfig(lam=0.5, gamma=0.5),
+            SolveConfig(lam=0.5, tol=1e-6),
+            SolveConfig(lam=0.5, max_iter=10),
+            SolveConfig(lam=0.5, mu=0.01),
+        ],
+    )
+    def test_cfgs_must_agree(self, other):
+        op, ys = _block_problem("dense_real")
+        cfgs = [SolveConfig(lam=0.5)] * 3 + [other]
+        with pytest.raises(ValueError, match="agree"):
+            solve_many(op, ys, cfgs)
+
+    def test_bad_blocks_rejected(self):
+        op, ys = _block_problem("dense_real")
+        cfgs = [SolveConfig(lam=0.5)] * 4
+        for bad in (ys[:, 0], ys[:-1], ys[:, :3]):
+            with pytest.raises(ValueError, match="shape"):
+                solve_many(op, bad, cfgs)
+        ys[3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_many(op, ys, cfgs)
+        with pytest.raises(ValueError, match="at least one"):
+            solve_many(op, np.zeros((op.codomain_dim, 0)), [])
 
 
 class TestIsta:
