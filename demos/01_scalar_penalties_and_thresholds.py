@@ -17,7 +17,6 @@ from gmcreg import (
     ScalarPenaltyParams,
     firm,
     huber,
-    huber_via_min3,
     scalar_minimize,
     scaled_huber,
     scaled_mc,
@@ -29,10 +28,6 @@ OUT_DIR = "demo_out"
 
 def main():
     x = np.linspace(-3.0, 3.0, 1201)
-
-    # The Huber function equals a pointwise minimum of three simple curves.
-    assert np.array_equal(huber(x), huber_via_min3(x))
-    print("huber == min(quadratic, two shifted |.|+1/2 curves) on the grid")
 
     # Scaling: as b grows the Huber function approaches |x| and the MC
     # penalty flattens; the two sum to |x| by construction.

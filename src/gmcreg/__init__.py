@@ -42,6 +42,8 @@ from .penalties import (
     GmcPenalty,
     InnerSolution,
     build_b_from_a,
+    cost_value,
+    cost_value_many,
     eval_generalized_huber,
     eval_generalized_huber_many,
     eval_gmc,
@@ -54,7 +56,6 @@ from .scalar import (
     ScalarPenaltyParams,
     firm,
     huber,
-    huber_via_min3,
     scalar_convexity_holds,
     scalar_minimize,
     scaled_huber,
@@ -65,8 +66,6 @@ from .solvers import (
     SaddleState,
     SolveConfig,
     SolveReport,
-    cost_value,
-    cost_value_many,
     debias_on_support,
     diagonal_solve,
     gmc_solve,

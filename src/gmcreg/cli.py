@@ -221,8 +221,10 @@ def cmd_eval(args) -> int:
     if b_op.domain_dim != 2:
         print("error: grid evaluation needs a B matrix with exactly 2 columns", file=sys.stderr)
         return EXIT_USAGE
-    if args.grid_points < 2 or not args.grid_min < args.grid_max:
-        print("error: invalid grid", file=sys.stderr)
+    # a finite span also rules out infinite bounds and an overflowing span
+    span = args.grid_max - args.grid_min
+    if args.grid_points < 2 or not (0 < span < np.inf):
+        print("error: invalid grid (needs finite bounds with min < max)", file=sys.stderr)
         return EXIT_USAGE
     pen = GmcPenalty(b_op)
     ticks = np.linspace(args.grid_min, args.grid_max, args.grid_points)
@@ -239,10 +241,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if not (args.lam > 0 and args.mu > args.lam):
-        print("error: need mu > lambda > 0", file=sys.stderr)
+    if not (0 < args.lam < args.mu < np.inf):
+        print("error: need finite mu > lambda > 0", file=sys.stderr)
         return EXIT_USAGE
-    if args.points < 2 or args.y_max <= 0:
+    if args.points < 2 or not (0 < args.y_max < np.inf):
         print("error: invalid curve grid", file=sys.stderr)
         return EXIT_USAGE
     y = np.linspace(-args.y_max, args.y_max, args.points)

@@ -79,32 +79,20 @@ def _shrink(y, thr):
     """``soft`` without its checks, for the solver loop.
 
     ``thr`` broadcasts against ``y``, e.g. (1, k) thresholds for an (N, k)
-    block.  A complex zero divides by zero in the branch ``np.where``
-    discards, so callers silence that warning with ``np.errstate``.
+    block.  A NaN stays NaN, so the solver can see it.  A complex zero
+    divides by zero in the branch ``np.where`` discards, so callers silence
+    that warning with ``np.errstate``.
     """
     a = np.abs(y)
     if np.iscomplexobj(y):
-        return np.where(a > thr, (1.0 - thr / a) * y, 0.0 + 0.0j)
-    return np.where(a > thr, (a - thr) * np.sign(y), 0.0)
+        return np.where(a <= thr, 0.0 + 0.0j, (1.0 - thr / a) * y)
+    return np.where(a <= thr, 0.0, (a - thr) * np.sign(y))
 
 
 def huber(x):
     """Huber function: 0.5*x**2 on |x| <= 1, |x| - 0.5 beyond."""
     x_arr = np.asarray(x, dtype=np.float64)
     out = np.where(np.abs(x_arr) <= 1.0, 0.5 * x_arr * x_arr, np.abs(x_arr) - 0.5)
-    return _maybe_scalar(out, x)
-
-
-def huber_via_min3(x):
-    """Huber function as the pointwise minimum of three simple functions.
-
-    ``min(0.5*x**2, |x - 1| + 0.5, |x + 1| + 0.5)``; agrees with ``huber``
-    exactly, including in floating point.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = np.minimum.reduce(
-        [0.5 * x_arr * x_arr, np.abs(x_arr - 1.0) + 0.5, np.abs(x_arr + 1.0) + 0.5]
-    )
     return _maybe_scalar(out, x)
 
 

@@ -25,7 +25,10 @@ columns; ``gmc_solve`` and ``ista_solve`` are its k = 1 case, bit-identical
 to a one-vector loop.  A column leaves the block when it converges or runs
 out of budget, after the same number of iterations as its solo solve; its
 iterates differ from the solo solve's only by the rounding of a
-matrix-matrix against a matrix-vector product.
+matrix-matrix against a matrix-vector product.  The penalties module runs
+the generalized-Huber inner problem on the same kernel, and holds the
+objective ``cost_value``.  An iterate that turns NaN raises
+``FloatingPointError``.
 
 Solvers hold no hidden state: identical inputs and configuration produce
 bit-identical iterate sequences.
@@ -39,7 +42,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .operators import COMPLEX, LinearOperator, estimate_gram_norm
-from .penalties import build_b_from_a, eval_gmc_many
 from .scalar import FirmParams, _shrink, firm, soft
 
 
@@ -92,7 +94,6 @@ class SolveReport:
     iterations: int
     converged: bool
     delta: float
-    cost_trace: Optional[np.ndarray] = None
 
 
 def _step_size(cfg: SolveConfig, gram: float) -> float:
@@ -111,22 +112,19 @@ def gmc_solve(
     y,
     cfg: SolveConfig,
     callback: Optional[Callable[[SaddleState], None]] = None,
-    compute_cost_trace: bool = False,
 ) -> SolveReport:
     """Minimize ``0.5*||y - A x||^2 + lam * gmc_B(x)`` with B built from A.
 
     Runs the forward-backward saddle-point iteration from x = v = 0 until
     the larger of the two block changes drops below ``cfg.tol``.  Hitting
     ``max_iter`` is reported via ``converged=False``, not an exception; a
-    NaN or infinite entry in ``y`` raises ``ValueError``.
+    NaN or infinite entry in ``y`` raises ``ValueError``, and an iterate
+    that turns NaN raises ``FloatingPointError``.
 
     ``callback`` receives each ``SaddleState`` after it is formed, with
-    numpy's divide and invalid warnings off, as in the loop.  With
-    ``compute_cost_trace`` the full objective is evaluated at every primal
-    iterate after the loop finishes (the inner penalty minimization is too
-    costly for the hot loop).
+    numpy's divide and invalid warnings off, as in the loop.
     """
-    return _solve_one(a_op, y, cfg, callback, compute_cost_trace)
+    return _solve_one(a_op, y, cfg, callback)
 
 
 def ista_solve(
@@ -135,7 +133,6 @@ def ista_solve(
     lam: float,
     cfg: Optional[SolveConfig] = None,
     callback: Optional[Callable[[SaddleState], None]] = None,
-    compute_cost_trace: bool = False,
 ) -> SolveReport:
     """Classic ISTA for ``0.5*||y - A x||^2 + lam*||x||_1``.
 
@@ -147,7 +144,7 @@ def ista_solve(
     ``cfg.gamma`` is ignored.
     """
     cfg = SolveConfig(lam=lam) if cfg is None else replace(cfg, lam=lam, gamma=0.0)
-    return _solve_one(a_op, y, cfg, callback, compute_cost_trace)
+    return _solve_one(a_op, y, cfg, callback)
 
 
 def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[SolveReport, ...]:
@@ -172,44 +169,58 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
         raise ValueError("solve_many needs at least one column")
     if len({(c.gamma, c.mu, c.tol, c.max_iter) for c in cfgs}) != 1:
         raise ValueError("cfgs must agree on gamma, mu, tol and max_iter")
-    return _forward_backward(a_op, ys, cfgs)
+    return _solve_block(a_op, ys, cfgs)
 
 
-def _solve_one(a_op, y, cfg, callback, compute_cost_trace) -> SolveReport:
+def _solve_one(a_op, y, cfg, callback) -> SolveReport:
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
         raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    (report,) = _forward_backward(a_op, y[:, None], (cfg,), callback, compute_cost_trace)
+    (report,) = _solve_block(a_op, y[:, None], (cfg,), callback)
     return report
 
 
-def _forward_backward(
-    a_op: LinearOperator,
-    ys: np.ndarray,
-    cfgs: tuple,
-    callback: Optional[Callable[[SaddleState], None]] = None,
-    compute_cost_trace: bool = False,
-) -> tuple[SolveReport, ...]:
-    """Iterate the (N, k) block of problems ``ys[:, j]`` under ``cfgs[j]``.
+def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
+    """One kernel run for ``cfgs``, which share everything but ``lam``."""
+    cfg = cfgs[0]
+    mu = _step_size(cfg, estimate_gram_norm(a_op))
+    lams = [c.lam for c in cfgs]
+    x, v, iterations, delta = _forward_backward(
+        a_op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, callback
+    )
+    return tuple(
+        SolveReport(
+            x_star=x[:, j].copy(),
+            v_star=v[:, j].copy(),
+            iterations=int(iterations[j]),
+            converged=bool(delta[j] <= cfg.tol),
+            delta=float(delta[j]),
+        )
+        for j in range(len(cfgs))
+    )
 
-    The cfgs share everything but ``lam``.  A column whose change drops to
-    ``tol``, or whose budget runs out, is written out and leaves the block.
-    The callback and the cost trace follow column 0; only single solves
-    use them.
+
+def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None):
+    """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
+
+    Step ``mu``, ``gamma``, ``tol`` and ``max_iter`` are shared.  A column
+    whose change drops to ``tol``, or whose budget runs out, is written out
+    and leaves the block.  The callback follows column 0; only single
+    solves pass one.  Returns ``(x, v, iterations, delta)``: the (N, k)
+    final iterates, and per column the iteration count and the last change.
+    A NaN change raises ``FloatingPointError``.
     """
     if not np.all(np.isfinite(ys)):
         raise ValueError("y must be finite (it holds a NaN or an infinity)")
-    cfg = cfgs[0]
-    mu = _step_size(cfg, estimate_gram_norm(a_op))
-    gamma, tol, max_iter = cfg.gamma, cfg.tol, cfg.max_iter
+    k = ys.shape[1]
     dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
-    x = np.zeros((a_op.domain_dim, ys.shape[1]), dtype=dtype)
+    x = np.zeros((a_op.domain_dim, k), dtype=dtype)
     v = np.zeros_like(x)
-    thr = mu * np.array([[c.lam for c in cfgs]])
-    live = np.arange(ys.shape[1])  # original index of each block column
-    reports = [None] * ys.shape[1]
-    y0 = ys[:, 0]
-    xs = [x[:, 0].copy()] if compute_cost_trace else None
+    x_out, v_out = np.empty_like(x), np.empty_like(x)
+    iterations = np.zeros(k, dtype=np.int64)
+    deltas = np.zeros(k)
+    thr = mu * np.array([lams], dtype=np.float64)
+    live = np.arange(k)  # original index of each block column
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(1, max_iter + 1):
@@ -228,29 +239,21 @@ def _forward_backward(
                 )
                 v = v_next
             x = x_next
+            if np.isnan(delta).any():
+                raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
                 callback(SaddleState(x=x[:, 0], v=v[:, 0], iter=i, delta=float(delta[0])))
-            if xs is not None:
-                xs.append(x[:, 0].copy())
             done = (delta <= tol) | (i == max_iter)
             if not done.any():
                 continue
-            for j in np.flatnonzero(done):
-                reports[live[j]] = SolveReport(
-                    x_star=x[:, j].copy(),
-                    v_star=v[:, j].copy(),
-                    iterations=i,
-                    converged=bool(delta[j] <= tol),
-                    delta=float(delta[j]),
-                )
+            cols = live[done]
+            x_out[:, cols], v_out[:, cols] = x[:, done], v[:, done]
+            iterations[cols], deltas[cols] = i, delta[done]
             if done.all():
                 break
             keep = ~done
             x, v, ys, thr, live = x[:, keep], v[:, keep], ys[:, keep], thr[:, keep], live[keep]
-    if xs is not None:
-        trace = cost_value_many(a_op, y0, cfg.lam, gamma, np.stack(xs, axis=1))
-        reports[0] = replace(reports[0], cost_trace=trace)
-    return tuple(reports)
+    return x_out, v_out, iterations, deltas
 
 
 def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
@@ -279,31 +282,6 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
     if gamma == 1.0:
         return np.where(np.abs(t) <= thr, 0.0, t)
     return np.asarray(firm(t, FirmParams(lam=thr, mu=lam / (gamma * a2))))
-
-
-def cost_value(a_op: LinearOperator, y, lam: float, gamma: float, x) -> float:
-    """Objective value ``0.5*||y - A x||^2 + lam * gmc_B(x)``, B from A.
-
-    ``gamma = 0`` reduces to the l1 objective (no inner solve needed).
-    """
-    xs = np.asarray(x)[:, None]
-    return float(cost_value_many(a_op, y, lam, gamma, xs)[0])
-
-
-def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np.ndarray:
-    """Objective values for the columns of ``xs`` (one inner solve, batched).
-
-    The penalty comes from ``build_b_from_a``, so its inner solve runs to
-    tolerance 1e-10 within 100 000 iterations.
-    """
-    xs = np.asarray(xs)
-    y = np.asarray(y)
-    r = a_op.forward_multi(xs) - y[:, None]
-    data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
-    if gamma == 0.0:
-        return data + lam * np.sum(np.abs(xs), axis=0)
-    pen = build_b_from_a(a_op, lam, gamma)
-    return data + lam * eval_gmc_many(pen, xs)
 
 
 def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:

@@ -7,6 +7,19 @@ dense grid searches and dense linear algebra only.
 import numpy as np
 
 
+def huber_via_min3(x):
+    """Huber function as the pointwise minimum of three simple functions.
+
+    ``min(0.5*x**2, |x - 1| + 0.5, |x + 1| + 0.5)``; agrees with ``huber``
+    exactly, including in floating point.
+    """
+    x_arr = np.asarray(x, dtype=np.float64)
+    out = np.minimum.reduce(
+        [0.5 * x_arr * x_arr, np.abs(x_arr - 1.0) + 0.5, np.abs(x_arr + 1.0) + 0.5]
+    )
+    return out[()] if np.ndim(x) == 0 else out
+
+
 def grid_argmin_scalar_cost(y, a, lam, b, lo=-3.0, hi=3.0, step=1e-5):
     """argmin over a grid of 0.5*(y - a*x)**2 + lam * mc_b(x)."""
     x = np.arange(lo, hi + step, step)

@@ -33,7 +33,6 @@ from gmcreg import (
     gmc_solve,
     grad_generalized_huber,
     huber,
-    huber_via_min3,
     ista_solve,
     make_chirp,
     make_two_sine,
@@ -48,7 +47,7 @@ from gmcreg import (
 )
 from gmcreg.experiments import SweepRecord
 
-from _oracles import grid_argmin_scalar_cost, grid_min_gen_huber, psd_factor
+from _oracles import grid_argmin_scalar_cost, grid_min_gen_huber, huber_via_min3, psd_factor
 
 _CACHE = {}
 

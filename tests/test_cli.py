@@ -25,6 +25,14 @@ class TestThreshold:
     def test_mu_not_greater_than_lambda(self, tmp_path):
         assert main(["threshold", "--lambda", "2.0", "--mu", "2.0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--y-max", "inf"], ["--y-max", "nan"], ["--mu", "inf"], ["--lambda", "nan"]],
+    )
+    def test_non_finite_flag_is_usage_error(self, tmp_path, flags):
+        assert main(["threshold", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_large_mu_matches_soft(self, tmp_path):
         out = tmp_path / "o"
         assert (
@@ -96,6 +104,17 @@ class TestEval:
         b_path = self.write_b(tmp_path, [[1.0, float("nan")], [0.0, 1.0]])
         assert main(["eval", "--b-matrix", str(b_path), "--out", str(tmp_path / "o")]) == 2
         assert "cannot read B matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--grid-min=-inf"], ["--grid-max", "inf"], ["--grid-min", "nan"],
+         ["--grid-min=-1e308", "--grid-max", "1e308"]],
+    )
+    def test_non_finite_grid_is_usage_error(self, tmp_path, flags):
+        b_path = self.write_b(tmp_path, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        out = tmp_path / "o"
+        assert main(["eval", "--b-matrix", str(b_path), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["eval", "--b-matrix", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2

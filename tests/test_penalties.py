@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from gmcreg import (
     DenseOperator,
     GmcPenalty,
     ScaledOperator,
+    SolveConfig,
     build_b_from_a,
     eval_generalized_huber,
     eval_generalized_huber_many,
     eval_gmc,
     grad_generalized_huber,
     in_quadratic_region,
+    ista_solve,
     scaled_huber,
     scaled_mc,
 )
@@ -178,6 +182,48 @@ class TestValue:
         v = best.v_star
         expected = np.sum(np.abs(v), axis=0) + 0.5 * np.sum((b @ (xs - v)) ** 2, axis=0)
         assert np.allclose(best.value, expected, rtol=1e-12)
+
+
+class TestInnerSolveIsIsta:
+    """The inner problem is ISTA on B with data B x and weight 1, bit for bit."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_ista_solve(self, field):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, n + 2))
+            b = rng.normal(size=(m, n))
+            x = 3.0 * rng.normal(size=n)
+            if field == "complex":
+                b = b + 1j * rng.normal(size=(m, n))
+                x = x + 3j * rng.normal(size=n)
+            pen = GmcPenalty(DenseOperator(b))
+            sol = eval_generalized_huber(pen, x)
+            cfg = SolveConfig(
+                lam=1.0, mu=1 / pen.gram_norm, tol=pen.inner_tol, max_iter=pen.inner_max_iter
+            )
+            rep = ista_solve(pen.b_op, pen.b_op.forward_multi(x[:, None])[:, 0], 1.0, cfg)
+            assert sol.v_star.tobytes() == rep.x_star.tobytes()
+            assert sol.iterations == rep.iterations
+
+
+class TestInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, bad):
+        pen = GmcPenalty(DenseOperator(np.eye(2)))
+        x = np.array([bad, 0.0])
+        for evaluate in (eval_generalized_huber, eval_generalized_huber_many, eval_gmc):
+            with pytest.raises(ValueError, match="x must be finite"):
+                evaluate(pen, x)
+
+    def test_penalty_is_frozen(self):
+        pen = GmcPenalty(DenseOperator(np.eye(2)))
+        with pytest.raises(FrozenInstanceError):
+            pen.gram_norm = 0.0
+        with pytest.raises(FrozenInstanceError):
+            pen.inner_tol = -1.0
+        assert eval_generalized_huber(pen, np.array([3.0, 1.0])).value == pytest.approx(3.0)
 
 
 class TestGradient:

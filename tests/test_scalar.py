@@ -8,7 +8,6 @@ from gmcreg import (
     ScalarPenaltyParams,
     firm,
     huber,
-    huber_via_min3,
     scalar_convexity_holds,
     scalar_minimize,
     scaled_huber,
@@ -21,6 +20,7 @@ from _oracles import (
     grid_argmin_complex_shrink,
     grid_argmin_scalar_cost,
     grid_min_scaled_huber,
+    huber_via_min3,
 )
 
 GRID = np.linspace(-5.0, 5.0, 10_001)
@@ -34,6 +34,10 @@ class TestSoft:
         assert soft(3.0, 1.0) == 2.0
         assert soft(0.5, 1.0) == 0.0
         assert soft(-3.0, 1.0) == -2.0
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(soft(np.nan, 1.0))
+        assert np.isnan(soft(complex(np.nan, 0.0), 1.0))
 
     def test_complex_modulus_rule(self):
         assert soft(4 + 3j, 5.0) == 0.0

@@ -4,6 +4,8 @@ import pytest
 from gmcreg import (
     DenseOperator,
     DftFrameOperator,
+    GmcPenalty,
+    LinearOperator,
     SolveConfig,
     cost_value,
     cost_value_many,
@@ -15,6 +17,7 @@ from gmcreg import (
     scalar_minimize,
     ScalarPenaltyParams,
     StftFrameOperator,
+    eval_generalized_huber,
     solve_many,
 )
 
@@ -108,11 +111,12 @@ class TestGmcSolve:
         for gamma in (0.5, 0.8):
             for _ in range(5):
                 a, y = random_instance(rng, 6, 8)
+                xs = [np.zeros(8)]
                 head = gmc_solve(
                     a, y, SolveConfig(lam=0.4, gamma=gamma, max_iter=300, tol=1e-300),
-                    compute_cost_trace=True,
+                    callback=lambda s: xs.append(s.x.copy()),
                 )
-                trace = head.cost_trace
+                trace = cost_value_many(a, y, 0.4, gamma, np.stack(xs, axis=1))
                 assert trace is not None and trace.shape[0] == head.iterations + 1
                 saw_transient_rise |= bool(np.any(np.diff(trace) > 1e-9))
                 full = gmc_solve(a, y, SolveConfig(lam=0.4, gamma=gamma, tol=1e-10))
@@ -156,6 +160,39 @@ class TestNonFiniteInput:
         y[0] = complex(0.0, np.nan)
         with pytest.raises(ValueError, match="finite"):
             gmc_solve(DftFrameOperator(16, 32), y, SolveConfig(lam=0.5))
+
+
+class _NanAdjointIdentity(LinearOperator):
+    """The 3x3 identity, except that its adjoint emits NaN where |y| > 1.5."""
+
+    def __init__(self):
+        super().__init__(3, 3, "real")
+
+    def _forward(self, x):
+        return x
+
+    def _adjoint(self, y):
+        return np.where(np.abs(y) > 1.5, np.nan, y)
+
+
+class TestNanIterate:
+    """An operator that emits NaN fails loudly instead of ending at x = 0."""
+
+    Y = np.array([3.0, 0.1, -1.0])  # the true l1 answer at lam 0.2 is (2.8, 0, -0.8)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda op, y: ista_solve(op, y, 0.2),
+            lambda op, y: gmc_solve(op, y, SolveConfig(lam=0.2, gamma=0.5)),
+            lambda op, y: solve_many(op, np.stack([y, y], axis=1), [SolveConfig(lam=0.2)] * 2),
+            lambda op, y: eval_generalized_huber(GmcPenalty(op), y),
+        ],
+        ids=["ista_solve", "gmc_solve", "solve_many", "eval_generalized_huber"],
+    )
+    def test_raises_floating_point_error(self, solve):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            solve(_NanAdjointIdentity(), self.Y)
 
 
 class TestDenseOracle:
