@@ -101,6 +101,7 @@ class ExperimentSpec:
             raise ValueError("lambda_grid values must be positive and finite")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
+        _philox_key(self.seed)  # run_sweep draws its noise after any caller's checks
         object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -220,11 +221,13 @@ def make_chirp(spec: StftDemoSpec) -> Signal:
 
 
 def _philox_key(seed) -> np.ndarray:
-    key = np.zeros(2, dtype=np.uint64)
-    parts = np.atleast_1d(np.asarray(seed, dtype=np.uint64))
+    parts = np.atleast_1d(np.asarray(seed, dtype=object))
     if parts.size > 2:
         raise ValueError("seed must be an integer or a pair of integers")
-    key[: parts.size] = parts
+    if not all(0 <= p < 2**64 for p in parts.flat):
+        raise ValueError(f"seed {seed!r} has a part outside [0, 2**64)")
+    key = np.zeros(2, dtype=np.uint64)
+    key[: parts.size] = parts.astype(np.uint64)
     return key
 
 

@@ -1,9 +1,11 @@
 """Matrix-free linear operators and spectral-norm estimation.
 
-Every operator is a forward/adjoint pair: ``forward`` maps a length-N domain
-vector to a length-M codomain vector, ``adjoint`` maps back using the
-(conjugate) transpose.  Operators are immutable after construction and their
-application is pure, so instances can be shared freely across threads.
+Every operator is a forward/adjoint pair applied to column blocks:
+``forward_multi`` maps an (N, k) block of domain vectors to the (M, k) block
+of their images, ``adjoint_multi`` maps an (M, k) block back using the
+(conjugate) transpose.  ``forward`` and ``adjoint`` are the k = 1 case on 1-D
+vectors.  Operators are immutable after construction and their application
+is pure, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ _FIELD_DTYPE = {REAL: np.float64, COMPLEX: np.complex128}
 class LinearOperator:
     """Base class for a matrix-free forward/adjoint operator pair.
 
-    Subclasses implement ``_forward`` and ``_adjoint`` on validated 1-D
-    arrays.  ``field`` is ``"real"`` or ``"complex"``; for complex operators
+    Subclasses implement ``forward_multi`` and ``adjoint_multi`` on (N, k) and
+    (M, k) column blocks, checking the block shape with ``_columns``; column
+    j of the result depends on column j of the input only.  ``forward`` and
+    ``adjoint`` check a 1-D vector and apply the block method to it as one
+    column.  ``field`` is ``"real"`` or ``"complex"``; for complex operators
     the adjoint is the conjugate transpose.
     """
 
@@ -46,7 +51,7 @@ class LinearOperator:
             raise ValueError(
                 f"forward expects a vector of length {self.domain_dim}, got shape {x.shape}"
             )
-        return self._forward(x)
+        return self.forward_multi(x[:, None])[:, 0]
 
     def adjoint(self, y) -> np.ndarray:
         """Apply the adjoint to a codomain vector (A^T y, or A^H y when complex)."""
@@ -55,38 +60,23 @@ class LinearOperator:
             raise ValueError(
                 f"adjoint expects a vector of length {self.codomain_dim}, got shape {y.shape}"
             )
-        return self._adjoint(y)
+        return self.adjoint_multi(y[:, None])[:, 0]
 
     def forward_multi(self, xs) -> np.ndarray:
-        """Apply ``forward`` to each column of an (N, k) array.
-
-        Default implementation loops over columns; dense subclasses override
-        with a single matrix product.
-        """
-        xs = np.asarray(xs)
-        if xs.ndim != 2 or xs.shape[0] != self.domain_dim:
-            raise ValueError(f"expected shape ({self.domain_dim}, k), got {xs.shape}")
-        return _per_column(self._forward, xs)
+        """Apply the operator to each column of an (N, k) array."""
+        raise NotImplementedError
 
     def adjoint_multi(self, ys) -> np.ndarray:
-        """Apply ``adjoint`` to each column of an (M, k) array."""
-        ys = np.asarray(ys)
-        if ys.ndim != 2 or ys.shape[0] != self.codomain_dim:
-            raise ValueError(f"expected shape ({self.codomain_dim}, k), got {ys.shape}")
-        return _per_column(self._adjoint, ys)
-
-    def _forward(self, x):
-        raise NotImplementedError
-
-    def _adjoint(self, y):
+        """Apply the adjoint to each column of an (M, k) array."""
         raise NotImplementedError
 
 
-def _per_column(apply, cols) -> np.ndarray:
-    """Stack ``apply`` of each column; one column skips the list and the stack."""
-    if cols.shape[1] == 1:
-        return apply(cols[:, 0])[:, None]
-    return np.stack([apply(cols[:, j]) for j in range(cols.shape[1])], axis=1)
+def _columns(a, n: int) -> np.ndarray:
+    """``a`` as an array, checked to be a block of k columns of length ``n``."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != n:
+        raise ValueError(f"expected shape ({n}, k), got {a.shape}")
+    return a
 
 
 class DenseOperator(LinearOperator):
@@ -114,23 +104,11 @@ class DenseOperator(LinearOperator):
         a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         return cls(a)
 
-    def _forward(self, x):
-        return self.entries @ x
-
-    def _adjoint(self, y):
-        return self._adjoint_entries @ y
-
     def forward_multi(self, xs):
-        xs = np.asarray(xs)
-        if xs.ndim != 2 or xs.shape[0] != self.domain_dim:
-            raise ValueError(f"expected shape ({self.domain_dim}, k), got {xs.shape}")
-        return self.entries @ xs
+        return self.entries @ _columns(xs, self.domain_dim)
 
     def adjoint_multi(self, ys):
-        ys = np.asarray(ys)
-        if ys.ndim != 2 or ys.shape[0] != self.codomain_dim:
-            raise ValueError(f"expected shape ({self.codomain_dim}, k), got {ys.shape}")
-        return self._adjoint_entries @ ys
+        return self._adjoint_entries @ _columns(ys, self.codomain_dim)
 
 
 class DftFrameOperator(DenseOperator):
@@ -190,26 +168,31 @@ class StftFrameOperator(LinearOperator):
         self.n_frames = n_frames
         self.window = window
         self._pad = 3 * hop
-        self._buf_len = (n_frames - 1) * hop + segment_len
 
-    def _forward(self, x):
-        frames = np.fft.ifft(
-            x.reshape(self.n_frames, self.segment_len), axis=1, norm="ortho"
-        )
-        frames *= self.window
-        buf = np.zeros(self._buf_len, dtype=np.complex128)
-        for k in range(self.n_frames):
-            start = k * self.hop
-            buf[start : start + self.segment_len] += frames[k]
-        return buf[self._pad : self._pad + self.signal_len]
+    # Blocks keep k last: an (N, k) coefficient block is a (frames,
+    # segment_len, k) view, and the padded signal a (frames + 3, hop, k)
+    # buffer whose row f + q holds quarter q of frame f, so no transpose is
+    # needed either way.
 
-    def _adjoint(self, y):
-        buf = np.zeros(self._buf_len, dtype=np.complex128)
-        buf[self._pad : self._pad + self.signal_len] = y
-        idx = np.arange(self.n_frames)[:, None] * self.hop + np.arange(self.segment_len)
-        frames = buf[idx] * self.window
-        coef = np.fft.fft(frames, axis=1, norm="ortho")
-        return coef.ravel()
+    def forward_multi(self, xs):
+        xs = _columns(xs, self.domain_dim)
+        nf, hop, k = self.n_frames, self.hop, xs.shape[1]
+        frames = np.fft.ifft(xs.reshape(nf, self.segment_len, k), axis=1, norm="ortho")
+        frames *= self.window[:, None]
+        buf = np.zeros((nf + 3, hop, k), dtype=np.complex128)
+        # q = 3 first: every row then sums its frames in increasing frame order
+        for q in (3, 2, 1, 0):
+            buf[q : q + nf] += frames[:, q * hop : (q + 1) * hop]
+        return buf.reshape(-1, k)[self._pad : self._pad + self.signal_len]
+
+    def adjoint_multi(self, ys):
+        ys = _columns(ys, self.codomain_dim)
+        nf, k = self.n_frames, ys.shape[1]
+        buf = np.zeros((nf + 3, self.hop, k), dtype=np.complex128)
+        buf.reshape(-1, k)[self._pad : self._pad + self.signal_len] = ys
+        frames = np.concatenate([buf[q : q + nf] for q in range(4)], axis=1)
+        frames *= self.window[:, None]
+        return np.fft.fft(frames, axis=1, norm="ortho").reshape(-1, k)
 
 
 class ScaledOperator(LinearOperator):
@@ -222,12 +205,6 @@ class ScaledOperator(LinearOperator):
         super().__init__(op.domain_dim, op.codomain_dim, op.field)
         self.base = op
         self.scale = scale
-
-    def _forward(self, x):
-        return self.scale * self.base._forward(x)
-
-    def _adjoint(self, y):
-        return self.scale * self.base._adjoint(y)
 
     def forward_multi(self, xs):
         return self.scale * self.base.forward_multi(xs)

@@ -290,10 +290,16 @@ def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:
     The support is ``|x_n| > 1e-8``; the corresponding columns of A are
     materialized by applying the operator to basis vectors and the restricted
     normal equations are solved (least-norm if singular).  Entries off the
-    support stay zero.
+    support stay zero.  ``x`` must have the operator's domain length and
+    ``y`` its codomain length (``ValueError`` otherwise).
     """
     x = np.asarray(x)
     y = np.asarray(y)
+    if x.shape != (a_op.domain_dim,) or y.shape != (a_op.codomain_dim,):
+        raise ValueError(
+            f"need x of shape ({a_op.domain_dim},) and y of shape ({a_op.codomain_dim},),"
+            f" got {x.shape} and {y.shape}"
+        )
     support = np.flatnonzero(np.abs(x) > 1e-8)
     out = np.zeros(x.shape, dtype=np.result_type(x.dtype, a_op.dtype))
     if support.size == 0:

@@ -129,3 +129,32 @@ def dense_saddle_iterates(entries, y, lam, gamma, mu, n_iter):
         x, v = shrink(w), shrink(u)
         out.append((x, v))
     return out
+
+
+def stft_synthesis(op, x):
+    """An STFT frame's ``forward`` of one vector, one frame at a time.
+
+    Windowed inverse DFT of each frame, then overlap-add in increasing frame
+    order into a buffer padded by three hops, read from the pad on.
+    """
+    frames = np.fft.ifft(x.reshape(op.n_frames, op.segment_len), axis=1, norm="ortho")
+    frames *= op.window
+    pad = 3 * op.hop
+    buf = np.zeros((op.n_frames - 1) * op.hop + op.segment_len, dtype=np.complex128)
+    for k in range(op.n_frames):
+        start = k * op.hop
+        buf[start : start + op.segment_len] += frames[k]
+    return buf[pad : pad + op.signal_len]
+
+
+def stft_analysis(op, y):
+    """An STFT frame's ``adjoint`` of one vector: index-gathered frames.
+
+    The padded signal is cut into frames by a fancy index, windowed and
+    DFT'd frame by frame; the coefficients are flattened row-major.
+    """
+    pad = 3 * op.hop
+    buf = np.zeros((op.n_frames - 1) * op.hop + op.segment_len, dtype=np.complex128)
+    buf[pad : pad + op.signal_len] = y
+    idx = np.arange(op.n_frames)[:, None] * op.hop + np.arange(op.segment_len)
+    return np.fft.fft(buf[idx] * op.window, axis=1, norm="ortho").ravel()

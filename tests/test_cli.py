@@ -147,6 +147,12 @@ class TestDenoise:
     def test_non_finite_lambda_is_usage_error(self, tmp_path, lam):
         assert main(["denoise", "--lambda", lam, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        assert main(["denoise", "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_method(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["denoise", "--method", "ridge", "--out", str(tmp_path)])
@@ -245,6 +251,12 @@ class TestSweep:
     def test_bad_lambda_grid_is_usage_error(self, tmp_path, capsys, flags):
         assert main(["sweep", *flags, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: lambda")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        assert main(["sweep", "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
         assert not (tmp_path / "o").exists()
 
     def test_default_grid_has_13_lambdas(self):

@@ -94,6 +94,22 @@ class TestNoise:
         b = add_awgn(s, 1.0, (3, 5)).samples
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (0, 2**64)])
+    def test_seed_out_of_range_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            gaussian_draws(4, seed)
+        with pytest.raises(ValueError, match="seed"):
+            add_awgn(Signal(np.zeros(4)), 1.0, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spec_seed_out_of_range_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(seed=seed)
+
+    def test_largest_seed_is_accepted(self):
+        assert len(gaussian_draws(4, 2**64 - 1)) == 4
+        assert ExperimentSpec(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_variance_within_one_percent(self):
         z = gaussian_draws(1_000_000, 12345)
         assert abs(np.var(z) - 1.0) <= 0.01

@@ -10,7 +10,7 @@ from gmcreg import (
     estimate_gram_norm,
 )
 
-from _oracles import dense_gram_lambda_max
+from _oracles import dense_gram_lambda_max, stft_analysis, stft_synthesis
 
 
 def inner(a, b):
@@ -28,6 +28,18 @@ def all_operators():
         ScaledOperator(DenseOperator(rng.normal(size=(3, 3))), 0.7),
         ScaledOperator(DftFrameOperator(8, 16), 1.3),
     ]
+
+
+BLOCK_OPERATORS = all_operators() + [ScaledOperator(StftFrameOperator(90, 16), 0.4)]
+
+
+def _dense_backed(op):
+    return isinstance(op.base if isinstance(op, ScaledOperator) else op, DenseOperator)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def random_vec(rng, n, complex_field):
@@ -62,12 +74,19 @@ class TestForwardAdjoint:
         with pytest.raises(ValueError, match="finite"):
             DenseOperator([[1.0, bad], [0.0, 1.0]])
 
-    def test_dimension_mismatch(self):
-        op = DenseOperator(np.ones((2, 3)))
+    @pytest.mark.parametrize("op", BLOCK_OPERATORS, ids=lambda o: type(o).__name__)
+    def test_dimension_mismatch(self, op):
+        n, m = op.domain_dim, op.codomain_dim
         with pytest.raises(ValueError):
-            op.forward(np.ones(2))
+            op.forward(np.ones(n + 1))
         with pytest.raises(ValueError):
-            op.adjoint(np.ones(3))
+            op.adjoint(np.ones(m - 1))
+        for bad in (np.ones((n + 1, 2)), np.ones(n), np.ones((n, 2, 1))):
+            with pytest.raises(ValueError):
+                op.forward_multi(bad)
+        for bad in (np.ones((m + 1, 2)), np.ones(m), np.ones((m, 2, 1))):
+            with pytest.raises(ValueError):
+                op.adjoint_multi(bad)
 
     @pytest.mark.parametrize("op", all_operators(), ids=lambda o: type(o).__name__)
     def test_adjoint_consistency(self, op):
@@ -93,13 +112,49 @@ class TestForwardAdjoint:
             scale = max(np.max(np.abs(lhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
-    def test_forward_multi_matches_loop(self):
-        op = StftFrameOperator(50, 16)
+    @pytest.mark.parametrize("op", BLOCK_OPERATORS, ids=lambda o: type(o).__name__)
+    def test_forward_multi_matches_loop(self, op):
+        """Column j of a block is the column-j vector result.
+
+        Matrix-free operators match bit for bit.  Dense ones run the block as
+        one matrix product and a vector as a matrix-vector product, whose
+        BLAS summation orders may differ in the last bit.
+        """
         rng = np.random.default_rng(5)
-        xs = rng.normal(size=(op.domain_dim, 3)) + 1j * rng.normal(size=(op.domain_dim, 3))
-        got = op.forward_multi(xs)
-        for j in range(3):
-            assert np.array_equal(got[:, j], op.forward(xs[:, j]))
+        cplx = op.field == "complex"
+        xs = np.stack([random_vec(rng, op.domain_dim, cplx) for _ in range(3)], axis=1)
+        ys = np.stack([random_vec(rng, op.codomain_dim, cplx) for _ in range(3)], axis=1)
+        got_f, got_a = op.forward_multi(xs), op.adjoint_multi(ys)
+        want_f = np.stack([op.forward(xs[:, j]) for j in range(3)], axis=1)
+        want_a = np.stack([op.adjoint(ys[:, j]) for j in range(3)], axis=1)
+        if _dense_backed(op):
+            np.testing.assert_allclose(got_f, want_f, rtol=0, atol=1e-14 * np.abs(want_f).max())
+            np.testing.assert_allclose(got_a, want_a, rtol=0, atol=1e-14 * np.abs(want_a).max())
+        else:
+            assert_bitwise(got_f, want_f)
+            assert_bitwise(got_a, want_a)
+
+
+class TestStftOracle:
+    """The STFT block pair against the frame-by-frame reference, bit for bit."""
+
+    @pytest.mark.parametrize("signal_len,segment_len", [(90, 16), (400, 64), (97, 32)])
+    @pytest.mark.parametrize("k", [1, 3, 26])
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    def test_block_pair_matches_reference(self, signal_len, segment_len, k, complex_input):
+        op = StftFrameOperator(signal_len, segment_len)
+        rng = np.random.default_rng(signal_len * k)
+        xs = np.stack([random_vec(rng, op.domain_dim, complex_input) for _ in range(k)], axis=1)
+        ys = np.stack([random_vec(rng, signal_len, complex_input) for _ in range(k)], axis=1)
+        assert_bitwise(
+            op.forward_multi(xs), np.stack([stft_synthesis(op, x) for x in xs.T], axis=1)
+        )
+        assert_bitwise(
+            op.adjoint_multi(ys), np.stack([stft_analysis(op, y) for y in ys.T], axis=1)
+        )
+        if k == 1:
+            assert_bitwise(op.forward(xs[:, 0]), stft_synthesis(op, xs[:, 0]))
+            assert_bitwise(op.adjoint(ys[:, 0]), stft_analysis(op, ys[:, 0]))
 
 
 class TestFrames:

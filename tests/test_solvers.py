@@ -168,10 +168,10 @@ class _NanAdjointIdentity(LinearOperator):
     def __init__(self):
         super().__init__(3, 3, "real")
 
-    def _forward(self, x):
+    def forward_multi(self, x):
         return x
 
-    def _adjoint(self, y):
+    def adjoint_multi(self, y):
         return np.where(np.abs(y) > 1.5, np.nan, y)
 
 
@@ -424,3 +424,8 @@ class TestDebias:
         x = np.array([0.0, 1.0, 0.0, -1.0])
         out = debias_on_support(a, rng.normal(size=6), x)
         assert out[0] == 0.0 and out[2] == 0.0
+
+    @pytest.mark.parametrize("x_len,y_len", [(10, 100), (256, 10)])
+    def test_wrong_length_raises(self, x_len, y_len):
+        with pytest.raises(ValueError, match="need x of shape"):
+            debias_on_support(DftFrameOperator(100, 256), np.ones(y_len), np.ones(x_len))
