@@ -28,7 +28,9 @@ class LinearOperator:
     j of the result depends on column j of the input only.  ``forward`` and
     ``adjoint`` check a 1-D vector and apply the block method to it as one
     column.  ``field`` is ``"real"`` or ``"complex"``; for complex operators
-    the adjoint is the conjugate transpose.
+    the adjoint is the conjugate transpose.  ``gram_norm`` estimates
+    ``||A^H A||_2`` by power iteration; a subclass that knows the value
+    exactly overrides it.
     """
 
     def __init__(self, domain_dim: int, codomain_dim: int, field: str):
@@ -61,6 +63,10 @@ class LinearOperator:
                 f"adjoint expects a vector of length {self.codomain_dim}, got shape {y.shape}"
             )
         return self.adjoint_multi(y[:, None])[:, 0]
+
+    def gram_norm(self) -> float:
+        """``||A^H A||_2``, by ``estimate_gram_norm`` unless the subclass knows it."""
+        return estimate_gram_norm(self)
 
     def forward_multi(self, xs) -> np.ndarray:
         """Apply the operator to each column of an (N, k) array."""
@@ -133,6 +139,9 @@ class DftFrameOperator(DenseOperator):
         self.signal_len = signal_len
         self.coef_len = coef_len
 
+    def gram_norm(self) -> float:
+        return 1.0  # the rows are orthonormal: A A^H = I
+
 
 class StftFrameOperator(LinearOperator):
     """Short-time Fourier synthesis frame with 75% overlapping segments.
@@ -168,6 +177,9 @@ class StftFrameOperator(LinearOperator):
         self.n_frames = n_frames
         self.window = window
         self._pad = 3 * hop
+
+    def gram_norm(self) -> float:
+        return 1.0  # forward(adjoint(y)) == y: A A^H = I
 
     # Blocks keep k last: an (N, k) coefficient block is a (frames,
     # segment_len, k) view, and the padded signal a (frames + 3, hop, k)
@@ -205,6 +217,9 @@ class ScaledOperator(LinearOperator):
         super().__init__(op.domain_dim, op.codomain_dim, op.field)
         self.base = op
         self.scale = scale
+
+    def gram_norm(self) -> float:
+        return self.scale**2 * self.base.gram_norm()
 
     def forward_multi(self, xs):
         return self.scale * self.base.forward_multi(xs)

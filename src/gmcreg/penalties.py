@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError
-from .operators import COMPLEX, LinearOperator, ScaledOperator, estimate_gram_norm
+from .operators import COMPLEX, LinearOperator, ScaledOperator
 from .solvers import _forward_backward
 
 
@@ -39,8 +39,8 @@ class GmcPenalty:
 
     ``inner_tol`` is the sup-norm fixed-point tolerance of the inner
     shrinkage iteration, ``inner_max_iter`` its iteration budget.  The
-    squared spectral norm of B is computed once at construction and reused
-    as the inner step size.
+    squared spectral norm of B (``b_op.gram_norm()``, exact when B is a
+    scaled frame) is taken once at construction and sets the inner step.
     """
 
     b_op: LinearOperator
@@ -53,7 +53,7 @@ class GmcPenalty:
             raise ValueError("inner_tol must be positive")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be at least 1")
-        object.__setattr__(self, "gram_norm", estimate_gram_norm(self.b_op))
+        object.__setattr__(self, "gram_norm", self.b_op.gram_norm())
 
     @property
     def domain_dim(self) -> int:

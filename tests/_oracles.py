@@ -96,18 +96,22 @@ def psd_factor(gram):
     return (vecs * np.sqrt(w)) @ vecs.T
 
 
-def dense_saddle_iterates(entries, y, lam, gamma, mu, n_iter):
-    """The first ``n_iter`` (x, v) pairs of the two-block saddle recurrence.
+def dense_saddle_steps(entries, y, lam, gamma, mu, inertia=0.0):
+    """Endless ``(x, v, delta)`` of the two-block saddle recurrence.
 
     Written out with dense products and a fixed step ``mu``, starting from
-    x = v = 0:
+    x = v = 0.  One step from a point (p, q) is
 
-        w  = x - mu * A^H (A (x + gamma*(v - x)) - y)
-        u  = v - mu * gamma * A^H (A (v - x))
-        x' = shrink(w, mu*lam),  v' = shrink(u, mu*lam)
+        x' = shrink(p - mu * A^H (A (p + gamma*(q - p)) - y), mu*lam)
+        v' = shrink(q - mu * gamma * A^H (A (q - p)), mu*lam)
 
-    where ``shrink`` zeroes entries of modulus <= t and moves the others
-    towards zero by t (complex entries keep their phase).
+    with ``delta = max(|x' - p|_inf, |v' - q|_inf)``, where ``shrink`` zeroes
+    entries of modulus <= t and moves the others towards zero by t (complex
+    entries keep their phase).  With ``inertia = 0`` every step starts from
+    (x, v): the plain recurrence.  Otherwise it starts from the extrapolated
+    point ``(x, v) + inertia * ((x, v) - (x_prev, v_prev))``, with
+    (x_prev, v_prev) = (x, v) on the first step, and a step whose delta
+    exceeds the previous step's is discarded and taken from (x, v) instead.
     """
     a = np.asarray(entries)
     y = np.asarray(y)
@@ -120,15 +124,24 @@ def dense_saddle_iterates(entries, y, lam, gamma, mu, n_iter):
                 return np.where(m > t, (1.0 - t / m) * z, 0.0 + 0.0j)
         return np.where(m > t, (m - t) * np.sign(z), 0.0)
 
+    def step(p, q):
+        x1 = shrink(p - mu * (a.conj().T @ (a @ (p + gamma * (q - p)) - y)))
+        v1 = shrink(q - mu * gamma * (a.conj().T @ (a @ (q - p))))
+        return x1, v1, max(np.max(np.abs(x1 - p)), np.max(np.abs(v1 - q)))
+
     x = np.zeros(a.shape[1], dtype=np.result_type(a, y, np.float64))
     v = np.zeros_like(x)
-    out = []
-    for _ in range(n_iter):
-        w = x - mu * (a.conj().T @ (a @ (x + gamma * (v - x)) - y))
-        u = v - mu * gamma * (a.conj().T @ (a @ (v - x)))
-        x, v = shrink(w), shrink(u)
-        out.append((x, v))
-    return out
+    x_prev, v_prev, last = x, v, np.inf
+    while True:
+        if inertia == 0.0:
+            x1, v1, delta = step(x, v)
+        else:
+            x1, v1, delta = step(x + inertia * (x - x_prev), v + inertia * (v - v_prev))
+            if delta > last:
+                x1, v1, delta = step(x, v)
+        x_prev, v_prev, last = x, v, delta
+        x, v = x1, v1
+        yield x, v, delta
 
 
 def stft_synthesis(op, x):

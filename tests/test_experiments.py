@@ -148,6 +148,14 @@ class TestDenoiseFrame:
         deb = denoise_frame(noisy, frame, "l1_debiased", 1.0)
         assert np.all((np.abs(deb.coef) > 0) <= (np.abs(plain.coef) > 1e-8))
 
+    def test_slow_gmc_cell_converges(self):
+        # a lambda = 0.5 GMC cell that plain forward-backward left unconverged
+        # at the 40 000-iteration budget
+        spec = ExperimentSpec()
+        noisy = add_awgn(make_two_sine(spec), 1.0, (8192, 0))
+        frame = DftFrameOperator(spec.signal_len, spec.coef_len)
+        assert denoise_frame(noisy, frame, "gmc", 0.5, 0.8).converged
+
 
 class TestNonzeroCount:
     def test_zero_vector(self):

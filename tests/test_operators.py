@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+import gmcreg.operators
 from gmcreg import (
     ConvergenceError,
     DenseOperator,
     DftFrameOperator,
+    GmcPenalty,
     ScaledOperator,
+    SolveConfig,
     StftFrameOperator,
+    build_b_from_a,
     estimate_gram_norm,
+    eval_generalized_huber,
+    gmc_solve,
+    solve_many,
 )
 
 from _oracles import dense_gram_lambda_max, stft_analysis, stft_synthesis
@@ -228,6 +235,49 @@ class TestGramNorm:
             estimate_gram_norm(op, tol=0.0)
         with pytest.raises(ValueError):
             estimate_gram_norm(op, max_iter=0)
+
+
+class TestDeclaredGramNorm:
+    """Frames and scaled frames declare ``||A^H A||_2`` instead of estimating it."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            DftFrameOperator(100, 256),
+            DftFrameOperator(20, 48),
+            StftFrameOperator(400, 64),
+            StftFrameOperator(90, 16),
+            ScaledOperator(DftFrameOperator(100, 256), 0.4),
+            ScaledOperator(StftFrameOperator(400, 64), np.sqrt(0.7 / 0.05)),
+        ],
+        ids=["dft100x256", "dft20x48", "stft400/64", "stft90/16", "scaled_dft", "scaled_stft"],
+    )
+    def test_declared_equals_estimate(self, op):
+        est = estimate_gram_norm(op)
+        assert abs(op.gram_norm() - est) <= 1e-12 * est
+
+    def test_dense_and_scaled_dense_estimate(self):
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(5, 7))
+        dense = DenseOperator(a)
+        assert dense.gram_norm() == estimate_gram_norm(dense)
+        scaled = ScaledOperator(dense, 0.3)
+        assert scaled.gram_norm() == pytest.approx(0.09 * dense_gram_lambda_max(a), rel=1e-8)
+
+    def test_frame_solves_run_no_power_iteration(self, monkeypatch):
+        def refuse(op, *args, **kwargs):
+            raise AssertionError(f"power iteration on {type(op).__name__}")
+
+        monkeypatch.setattr(gmcreg.operators, "estimate_gram_norm", refuse)
+        rng = np.random.default_rng(22)
+        dft, stft = DftFrameOperator(20, 48), StftFrameOperator(90, 16)
+        gmc_solve(dft, rng.normal(size=20), SolveConfig(lam=0.5, gamma=0.8, tol=1e-6))
+        cfgs = [SolveConfig(lam=lam, gamma=0.7, tol=1e-6) for lam in (0.1, 0.2)]
+        solve_many(stft, rng.normal(size=(90, 2)), cfgs)
+        pen = build_b_from_a(dft, 0.5, 0.8)
+        eval_generalized_huber(pen, rng.normal(size=48))
+        with pytest.raises(AssertionError, match="DenseOperator"):
+            GmcPenalty(DenseOperator(np.eye(3)))
 
 
 class TestCsv:
