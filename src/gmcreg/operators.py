@@ -117,30 +117,36 @@ class DenseOperator(LinearOperator):
         return self._adjoint_entries @ _columns(ys, self.codomain_dim)
 
 
-class DftFrameOperator(DenseOperator):
-    """Over-sampled inverse-DFT synthesis frame.
+class DftFrameOperator(LinearOperator):
+    """Over-sampled inverse-DFT synthesis frame, applied by FFT.
 
     Entry (m, n) is ``exp(2j*pi*m*n/N) / sqrt(N)`` with m < M rows and
     n < N columns, N >= M.  The rows form a normalized tight frame:
     composing ``forward`` with ``adjoint`` is the identity on length-M
-    vectors.  Applied directly at O(M*N) cost, which is fine at the sizes
-    this package targets.
+    vectors.  No matrix is stored: ``forward`` keeps the first M samples of
+    an orthonormal inverse FFT and ``adjoint`` is the orthonormal FFT of the
+    signal zero-padded to N, O(N log N) per column.  Each column is
+    transformed on its own, so a block's columns equal the vector results
+    bit for bit.
     """
 
     def __init__(self, signal_len: int, coef_len: int):
-        if signal_len <= 0 or coef_len <= 0:
-            raise ValueError("dimensions must be positive")
         if coef_len < signal_len:
             raise ValueError("coef_len must be >= signal_len for a frame")
-        m = np.arange(signal_len)[:, None]
-        n = np.arange(coef_len)[None, :]
-        entries = np.exp(2j * np.pi * m * n / coef_len) / np.sqrt(coef_len)
-        super().__init__(entries)
+        super().__init__(domain_dim=coef_len, codomain_dim=signal_len, field=COMPLEX)
         self.signal_len = signal_len
         self.coef_len = coef_len
 
     def gram_norm(self) -> float:
         return 1.0  # the rows are orthonormal: A A^H = I
+
+    def forward_multi(self, xs):
+        xs = _columns(xs, self.domain_dim)
+        return np.fft.ifft(xs, axis=0, norm="ortho")[: self.codomain_dim]
+
+    def adjoint_multi(self, ys):
+        ys = _columns(ys, self.codomain_dim)
+        return np.fft.fft(ys, n=self.domain_dim, axis=0, norm="ortho")
 
 
 class StftFrameOperator(LinearOperator):

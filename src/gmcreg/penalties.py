@@ -216,10 +216,18 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
     """Objective values for the columns of ``xs`` (one inner solve, batched).
 
     The penalty comes from ``build_b_from_a``, so its inner solve runs to
-    tolerance 1e-10 within 100 000 iterations.
+    tolerance 1e-10 within 100 000 iterations.  ``y`` must be a finite
+    vector of length ``a_op.codomain_dim`` and ``lam`` positive and finite
+    (``ValueError`` otherwise), whatever ``gamma``.
     """
-    xs = np.asarray(xs)
     y = np.asarray(y)
+    if y.shape != (a_op.codomain_dim,):
+        raise ValueError(f"y must have shape ({a_op.codomain_dim},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite (it holds a NaN or an infinity)")
+    if not (0 < lam < np.inf):
+        raise ValueError("lam must be positive and finite")
+    xs = np.asarray(xs)
     r = a_op.forward_multi(xs) - y[:, None]
     data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
     if gamma == 0.0:

@@ -37,9 +37,10 @@ One kernel iterates an (N, k) block of independent problems on a single
 operator, each column with its own ``lam``.  ``solve_many`` hands it k
 columns; ``gmc_solve`` and ``ista_solve`` are its k = 1 case, bit-identical
 to a one-vector loop.  A column is written out when it converges or runs
-out of budget, after the same number of iterations as its solo solve; its
-iterates differ from the solo solve's only by the rounding of a
-matrix-matrix against a matrix-vector product.  The block drops its
+out of budget, after the same number of iterations as its solo solve.  On
+the FFT-applied frames its iterates equal the solo solve's bit for bit; on
+a dense operator they differ only by the rounding of a matrix-matrix
+against a matrix-vector product.  The block drops its
 written-out columns once they make up a quarter of it.  The step size
 comes from the operator's ``gram_norm``: exact for the DFT and STFT
 frames, a power-iteration estimate otherwise.  The penalties module runs
@@ -179,7 +180,8 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     ``max_iter``.  The Gram norm is taken once for the block, and each
     iteration applies A and its adjoint to all live columns at once.  A
     column stops at its own tolerance or budget, with the iteration count
-    of its solo solve; its iterates match the solo solve's up to the
+    of its solo solve.  Its iterates equal the solo solve's bit for bit on
+    the DFT and STFT frames; on a dense operator they match up to the
     rounding of a matrix-matrix against a matrix-vector product.
     """
     ys = np.asarray(ys)

@@ -89,6 +89,16 @@ def dense_gram_lambda_max(entries):
     return float(np.max(np.linalg.eigvalsh(g)))
 
 
+def dft_frame_entries(m, n):
+    """The M x N over-sampled inverse-DFT frame as a dense complex matrix.
+
+    Entry (r, c) is ``exp(2j*pi*r*c/N) / sqrt(N)``, built elementwise.
+    """
+    r = np.arange(m)[:, None]
+    c = np.arange(n)[None, :]
+    return np.exp(2j * np.pi * r * c / n) / np.sqrt(n)
+
+
 def psd_factor(gram):
     """Some C with C^T C = gram, via an eigendecomposition (PSD input)."""
     w, vecs = np.linalg.eigh(np.asarray(gram))

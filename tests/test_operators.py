@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from gmcreg import (
     solve_many,
 )
 
-from _oracles import dense_gram_lambda_max, stft_analysis, stft_synthesis
+from _oracles import dense_gram_lambda_max, dft_frame_entries, stft_analysis, stft_synthesis
 
 
 def inner(a, b):
@@ -38,6 +40,19 @@ def all_operators():
 
 
 BLOCK_OPERATORS = all_operators() + [ScaledOperator(StftFrameOperator(90, 16), 0.4)]
+
+
+def test_every_operator_class_is_covered():
+    """A new operator class must join the adjoint and block/column checks."""
+    defined = {
+        cls
+        for _, cls in inspect.getmembers(gmcreg.operators, inspect.isclass)
+        if issubclass(cls, gmcreg.operators.LinearOperator)
+        and cls is not gmcreg.operators.LinearOperator
+        and cls.__module__ == gmcreg.operators.__name__
+    }
+    assert defined <= {type(op) for op in all_operators()}
+    assert defined <= {type(op) for op in BLOCK_OPERATORS}
 
 
 def _dense_backed(op):
@@ -164,6 +179,26 @@ class TestStftOracle:
             assert_bitwise(op.adjoint(ys[:, 0]), stft_analysis(op, ys[:, 0]))
 
 
+class TestDftOracle:
+    """The FFT-applied DFT frame against its dense matrix."""
+
+    @pytest.mark.parametrize("m,n", [(100, 256), (20, 48), (10, 24), (16, 16), (7, 13)])
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    def test_block_pair_matches_dense(self, m, n, complex_input):
+        op = DftFrameOperator(m, n)
+        a = dft_frame_entries(m, n)
+        rng = np.random.default_rng(m * n)
+        xs = np.stack([random_vec(rng, n, complex_input) for _ in range(3)], axis=1)
+        ys = np.stack([random_vec(rng, m, complex_input) for _ in range(3)], axis=1)
+        fx, ay = op.forward_multi(xs), op.adjoint_multi(ys)
+        for got, want in ((fx, a @ xs), (ay, a.conj().T @ ys)):
+            assert got.shape == want.shape and got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # <A x, y> = <x, A^H y>
+        lhs, rhs = inner(fx, ys), inner(xs, ay)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
 class TestFrames:
     def test_dft_tight(self):
         op = DftFrameOperator(100, 256)
@@ -219,7 +254,7 @@ class TestGramNorm:
     def test_dft_cross_check_small(self):
         op = DftFrameOperator(8, 16)
         assert estimate_gram_norm(op) == pytest.approx(
-            dense_gram_lambda_max(op.entries), rel=1e-6
+            dense_gram_lambda_max(dft_frame_entries(8, 16)), rel=1e-6
         )
 
     def test_nonconvergence_carries_best(self):

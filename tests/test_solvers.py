@@ -327,7 +327,7 @@ class TestSolveMany:
             assert rep.iterations == solo.iterations
             assert rep.converged == solo.converged
             assert rep.x_star.shape == solo.x_star.shape
-            if kind == "stft":  # per-column operator: the very same arithmetic
+            if kind in ("stft", "dft"):  # per-column FFTs: the very same arithmetic
                 assert rep.x_star.tobytes() == solo.x_star.tobytes()
                 assert rep.v_star.tobytes() == solo.v_star.tobytes()
             else:
@@ -463,6 +463,35 @@ class TestCostValue:
                 a, y, lam, gamma, np.stack([x, z, (x + z) / 2], axis=1)
             )
             assert fm <= (fx + fz) / 2 + 1e-8
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "y", [[1.0], np.ones(4), np.ones((3, 1)), np.ones((1, 3))], ids=["len1", "len4", "col", "row"]
+    )
+    def test_wrong_shape_y_rejected(self, y, gamma):
+        a = DenseOperator(np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            cost_value(a, y, 0.5, gamma, np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            cost_value_many(a, y, 0.5, gamma, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, bad, gamma):
+        a = DenseOperator(np.eye(3))
+        with pytest.raises(ValueError, match="y must be finite"):
+            cost_value(a, [1.0, bad, 0.0], 0.5, gamma, np.zeros(3))
+        with pytest.raises(ValueError, match="y must be finite"):
+            cost_value_many(a, [1.0, bad, 0.0], 0.5, gamma, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_lam_rejected(self, lam, gamma):
+        a = DenseOperator(np.eye(3))
+        with pytest.raises(ValueError, match="lam"):
+            cost_value(a, np.ones(3), lam, gamma, np.ones(3))
+        with pytest.raises(ValueError, match="lam"):
+            cost_value_many(a, np.ones(3), lam, gamma, np.ones((3, 2)))
 
 
 class TestDebias:
