@@ -267,10 +267,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

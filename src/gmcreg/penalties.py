@@ -104,6 +104,13 @@ def _as_columns(pen: GmcPenalty, x) -> np.ndarray:
     return x.astype(dtype)
 
 
+def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
+    xs = _as_columns(pen, x)
+    if xs.shape[1] != 1:
+        raise ValueError(f"{name} takes a single vector, got shape {np.shape(x)}")
+    return xs[:, 0]
+
+
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray):
     """min_v ||v||_1 + 0.5*||B(x - v)||^2 for every column x of ``xs``.
 
@@ -116,7 +123,7 @@ def _inner_solve(pen: GmcPenalty, xs: np.ndarray):
         # B = 0: the minimum is 0 at v = 0
         return np.zeros_like(xs), np.zeros(xs.shape[1]), 0, 0.0
     ys, lams = pen.b_op.forward_multi(xs), np.ones(xs.shape[1])
-    v, _, iters, resids = _forward_backward(
+    (v,), iters, resids = _forward_backward(
         pen.b_op, ys, 1.0 / pen.gram_norm, lams, 0.0, pen.inner_tol, pen.inner_max_iter
     )
     values, resid = _inner_values(pen, xs, v), float(resids.max())
@@ -147,10 +154,8 @@ def eval_generalized_huber(pen: GmcPenalty, x) -> InnerSolution:
     Raises ``ConvergenceError`` (with the best iterate attached) if the inner
     iteration budget is exhausted.
     """
-    xs = _as_columns(pen, x)
-    if xs.shape[1] != 1:
-        raise ValueError("eval_generalized_huber takes a single vector; use eval_generalized_huber_many")
-    v, values, iters, resid = _inner_solve(pen, xs)
+    x = _as_vector(pen, x, "eval_generalized_huber")
+    v, values, iters, resid = _inner_solve(pen, x[:, None])
     return InnerSolution(
         v_star=v[:, 0], value=float(values[0]), iterations=iters, residual=resid
     )
@@ -172,16 +177,16 @@ def grad_generalized_huber(pen: GmcPenalty, x) -> np.ndarray:
 
     Every entry has magnitude at most 1.
     """
-    xs = _as_columns(pen, x)
-    sol = eval_generalized_huber(pen, xs[:, 0])
-    return pen.b_op.adjoint(pen.b_op.forward(xs[:, 0] - sol.v_star))
+    x = _as_vector(pen, x, "grad_generalized_huber")
+    sol = eval_generalized_huber(pen, x)
+    return pen.b_op.adjoint(pen.b_op.forward(x - sol.v_star))
 
 
 def eval_gmc(pen: GmcPenalty, x) -> float:
     """GMC penalty value ``||x||_1 - gen_huber(x)``; lies in [0, ||x||_1]."""
-    xs = _as_columns(pen, x)
-    sol = eval_generalized_huber(pen, xs[:, 0])
-    return float(np.sum(np.abs(xs[:, 0])) - sol.value)
+    x = _as_vector(pen, x, "eval_gmc")
+    sol = eval_generalized_huber(pen, x)
+    return float(np.sum(np.abs(x)) - sol.value)
 
 
 def eval_gmc_many(pen: GmcPenalty, xs) -> np.ndarray:
@@ -198,8 +203,7 @@ def in_quadratic_region(pen: GmcPenalty, x) -> bool:
     ``0.5 * ||B x||_2^2`` and the GMC penalty equals
     ``||x||_1 - 0.5 * ||B x||_2^2``.
     """
-    xs = _as_columns(pen, x)
-    g = pen.b_op.adjoint(pen.b_op.forward(xs[:, 0]))
+    g = pen.b_op.adjoint(pen.b_op.forward(_as_vector(pen, x, "in_quadratic_region")))
     return bool(np.max(np.abs(g)) <= 1.0)
 
 
@@ -217,8 +221,8 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
 
     The penalty comes from ``build_b_from_a``, so its inner solve runs to
     tolerance 1e-10 within 100 000 iterations.  ``y`` must be a finite
-    vector of length ``a_op.codomain_dim`` and ``lam`` positive and finite
-    (``ValueError`` otherwise), whatever ``gamma``.
+    vector of length ``a_op.codomain_dim``, ``xs`` finite and ``lam``
+    positive and finite (``ValueError`` otherwise), whatever ``gamma``.
     """
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
@@ -228,6 +232,8 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
     if not (0 < lam < np.inf):
         raise ValueError("lam must be positive and finite")
     xs = np.asarray(xs)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite (it holds a NaN or an infinity)")
     r = a_op.forward_multi(xs) - y[:, None]
     data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
     if gamma == 0.0:

@@ -91,9 +91,7 @@ def _shrink(y, thr):
 
 def huber(x):
     """Huber function: 0.5*x**2 on |x| <= 1, |x| - 0.5 beyond."""
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(x_arr) <= 1.0, 0.5 * x_arr * x_arr, np.abs(x_arr) - 0.5)
-    return _maybe_scalar(out, x)
+    return scaled_huber(x, 1.0)
 
 
 def scaled_huber(x, b):

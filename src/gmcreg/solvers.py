@@ -29,7 +29,7 @@ diverge.  On the reference DFT-frame sweep the guarded iteration takes
 
 At ``gamma = 0`` the kernel runs the classic iterative shrinkage /
 thresholding algorithm (ISTA) for the l1-regularized problem, without
-inertia: v stays zero, so the kernel skips its block and applies A and its
+inertia: v stays zero, so the kernel carries x alone and applies A and its
 adjoint once each per iteration.  For complex operators the adjoint is the
 conjugate transpose and soft thresholding shrinks moduli.
 
@@ -211,9 +211,10 @@ def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
     cfg = cfgs[0]
     mu = _step_size(cfg, a_op.gram_norm())
     lams = [c.lam for c in cfgs]
-    x, v, iterations, delta = _forward_backward(
+    z, iterations, delta = _forward_backward(
         a_op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, callback
     )
+    x, v = z if len(z) == 2 else (z[0], np.zeros_like(z[0]))
     return tuple(
         SolveReport(
             x_star=x[:, j].copy(),
@@ -229,60 +230,56 @@ def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
 def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
-    Step ``mu``, ``gamma``, ``tol`` and ``max_iter`` are shared.  At
-    ``gamma > 0`` each column steps from its extrapolated point and falls
-    back to a plain step when that one changes more than its last step did
-    (see the module docstring).  A column whose change drops to ``tol``, or
-    whose budget runs out, is written out and retired; the block drops its
-    retired columns once they are a quarter of it.  The callback follows
-    column 0; only single solves pass one.  Returns ``(x, v, iterations,
-    delta)``: the (N, k) final iterates, and per column the iteration count
-    and the last change.  A NaN change raises ``FloatingPointError``.
+    Step ``mu``, ``gamma``, ``tol`` and ``max_iter`` are shared.  The
+    iterate z is the pair (x, v), shape (2, N, k), at ``gamma > 0`` and x
+    alone, (1, N, k), at ``gamma = 0``.  At ``gamma > 0`` each column steps
+    from its extrapolated point and falls back to a plain step when that one
+    changes more than its last step did (see the module docstring).  A
+    column whose change drops to ``tol``, or whose budget runs out, is
+    written out and retired; the block drops its retired columns once they
+    are a quarter of it.  The callback follows column 0; only single solves
+    pass one.  Returns ``(z, iterations, delta)``: the final z, and per
+    column the iteration count and the last change.  A NaN change raises
+    ``FloatingPointError``.
     """
     if not np.all(np.isfinite(ys)):
         raise ValueError("y must be finite (it holds a NaN or an infinity)")
     k = ys.shape[1]
     dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
-    x = np.zeros((a_op.domain_dim, k), dtype=dtype)
-    v = np.zeros_like(x)
-    x_out, v_out = np.empty_like(x), np.empty_like(x)
+    z = np.zeros((1 if gamma == 0.0 else 2, a_op.domain_dim, k), dtype=dtype)
+    z_out = np.empty_like(z)
     iterations = np.zeros(k, dtype=np.int64)
     deltas = np.zeros(k)
     thr = mu * np.array([lams], dtype=np.float64)
     live = np.arange(k)  # original index of each block column
     active = np.ones(k, dtype=bool)  # block columns not yet written out
-    # inertial state: x_prev = x makes the first step plain; a retired
+    # inertial state: z_prev = z makes the first step plain; a retired
     # column's alpha is 0, so it runs plain steps until the block drops it
-    x_prev, v_prev, last = x, v, np.full(k, np.inf)
+    z_prev, last = z, np.full(k, np.inf)
     alpha = np.full((1, k), _INERTIA)
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(1, max_iter + 1):
             if gamma == 0.0:
-                # ISTA, exactly: x + 0*(v - x) == x and the v block stays 0.0
-                x_next = _shrink(x - mu * a_op.adjoint_multi(a_op.forward_multi(x) - ys), thr)
-                delta = np.max(np.abs(x_next - x), axis=0, initial=0.0)
+                z, delta = _saddle_step(a_op, z, ys, mu, gamma, thr)
             else:
-                x_next, v_next, delta = _saddle_step(
-                    a_op, x + alpha * (x - x_prev), v + alpha * (v - v_prev), ys, mu, gamma, thr
-                )
+                z_next, delta = _saddle_step(a_op, z + alpha * (z - z_prev), ys, mu, gamma, thr)
                 redo = active & (delta > last)
                 if redo.any():
-                    x_next[:, redo], v_next[:, redo], delta[redo] = _saddle_step(
-                        a_op, x[:, redo], v[:, redo], ys[:, redo], mu, gamma, thr[:, redo]
+                    z_next[..., redo], delta[redo] = _saddle_step(
+                        a_op, z[..., redo], ys[:, redo], mu, gamma, thr[:, redo]
                     )
-                x_prev, v_prev, last = x, v, delta
-                v = v_next
-            x = x_next
+                z_prev, z, last = z, z_next, delta
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
-                callback(SaddleState(x=x[:, 0], v=v[:, 0], iter=i, delta=float(delta[0])))
+                v = z[1, :, 0] if gamma else np.zeros_like(z[0, :, 0])
+                callback(SaddleState(x=z[0, :, 0], v=v, iter=i, delta=float(delta[0])))
             done = active & ((delta <= tol) | (i == max_iter))
             if not done.any():
                 continue
             cols = live[done]
-            x_out[:, cols], v_out[:, cols] = x[:, done], v[:, done]
+            z_out[..., cols] = z[..., done]
             iterations[cols], deltas[cols] = i, delta[done]
             active &= ~done
             alpha[:, done] = 0.0
@@ -290,24 +287,25 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None):
             if n_live == 0:
                 break
             if n_live <= _COMPACT_AT * active.size:
-                x, v, x_prev, v_prev, ys, thr, alpha = (
-                    a[:, active] for a in (x, v, x_prev, v_prev, ys, thr, alpha)
+                z, z_prev, ys, thr, alpha, live, last = (
+                    a[..., active] for a in (z, z_prev, ys, thr, alpha, live, last)
                 )
-                live, last, active = live[active], last[active], active[active]
-    return x_out, v_out, iterations, deltas
+                active = active[active]
+    return z_out, iterations, deltas
 
 
-def _saddle_step(a_op, x, v, ys, mu, gamma, thr):
-    """One forward-backward step from the columns of ``(x, v)``, and its change."""
-    d = v - x
-    w = x - mu * a_op.adjoint_multi(a_op.forward_multi(x + gamma * d) - ys)
-    u = v - mu * gamma * a_op.adjoint_multi(a_op.forward_multi(d))
-    x_next, v_next = _shrink(w, thr), _shrink(u, thr)
-    delta = np.maximum(
-        np.max(np.abs(x_next - x), axis=0, initial=0.0),
-        np.max(np.abs(v_next - v), axis=0, initial=0.0),
-    )
-    return x_next, v_next, delta
+def _saddle_step(a_op, z, ys, mu, gamma, thr):
+    """One forward-backward step from the columns of ``z``: ``(z_next, delta)``."""
+    x = z[0]
+    if gamma == 0.0:
+        # ISTA, exactly: x + 0*(v - x) == x and the v block stays 0.0
+        w = (x - mu * a_op.adjoint_multi(a_op.forward_multi(x) - ys))[None]
+    else:
+        d = z[1] - x
+        w = np.stack((x - mu * a_op.adjoint_multi(a_op.forward_multi(x + gamma * d) - ys),
+                      z[1] - mu * gamma * a_op.adjoint_multi(a_op.forward_multi(d))))
+    z_next = _shrink(w, thr)
+    return z_next, np.max(np.abs(z_next - z), axis=(0, 1), initial=0.0)
 
 
 def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:

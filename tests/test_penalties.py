@@ -217,6 +217,14 @@ class TestInput:
             with pytest.raises(ValueError, match="x must be finite"):
                 evaluate(pen, x)
 
+    @pytest.mark.parametrize(
+        "evaluate", [eval_generalized_huber, eval_gmc, grad_generalized_huber, in_quadratic_region]
+    )
+    def test_several_columns_raise(self, evaluate):
+        pen = GmcPenalty(DenseOperator(np.eye(2)))
+        with pytest.raises(ValueError, match="single vector"):
+            evaluate(pen, np.ones((2, 3)))
+
     def test_penalty_is_frozen(self):
         pen = GmcPenalty(DenseOperator(np.eye(2)))
         with pytest.raises(FrozenInstanceError):

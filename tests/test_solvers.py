@@ -281,6 +281,13 @@ class TestInertialStability:
         assert sum(ours) <= 0.7 * sum(plains)
 
 
+def assert_v_is_zero(rep):
+    """At gamma = 0 the kernel carries no v block; v_star is zeros shaped like x."""
+    assert rep.v_star.shape == rep.x_star.shape
+    assert rep.v_star.dtype == rep.x_star.dtype
+    assert not np.any(rep.v_star)
+
+
 def _block_problem(kind):
     """An operator and a (M, 4) block whose column 0 is zero."""
     rng = np.random.default_rng(18)
@@ -333,6 +340,8 @@ class TestSolveMany:
             else:
                 assert np.max(np.abs(rep.x_star - solo.x_star)) <= 1e-12
                 assert np.max(np.abs(rep.v_star - solo.v_star)) <= 1e-12
+            if gamma == 0.0:
+                assert_v_is_zero(rep)
 
     @pytest.mark.parametrize(
         "other",
@@ -366,6 +375,7 @@ class TestIsta:
     def test_identity_case(self):
         rep = ista_solve(DenseOperator(np.eye(2)), np.array([3.0, 0.5]), 1.0)
         assert np.allclose(rep.x_star, [2.0, 0.0], atol=1e-8)
+        assert_v_is_zero(rep)
 
     def test_bit_identical_to_gamma_zero(self):
         rng = np.random.default_rng(9)
@@ -374,7 +384,8 @@ class TestIsta:
             cfg = SolveConfig(lam=0.3, gamma=0.0, tol=1e-300, max_iter=200)
             xs_g, xs_i = [], []
             gmc_solve(a, y, cfg, callback=lambda s: xs_g.append(s.x.copy()))
-            ista_solve(a, y, 0.3, cfg, callback=lambda s: xs_i.append(s.x.copy()))
+            rep = ista_solve(a, y, 0.3, cfg, callback=lambda s: xs_i.append(s.x.copy()))
+            assert_v_is_zero(rep)
             assert len(xs_g) == len(xs_i)
             assert all(np.array_equal(p, q) for p, q in zip(xs_g, xs_i))
 
@@ -385,7 +396,8 @@ class TestIsta:
         cfg = SolveConfig(lam=0.2, gamma=0.0, tol=1e-300, max_iter=100)
         xs_g, xs_i = [], []
         gmc_solve(a, y, cfg, callback=lambda s: xs_g.append(s.x.copy()))
-        ista_solve(a, y, 0.2, cfg, callback=lambda s: xs_i.append(s.x.copy()))
+        rep = ista_solve(a, y, 0.2, cfg, callback=lambda s: xs_i.append(s.x.copy()))
+        assert_v_is_zero(rep)
         assert all(np.array_equal(p, q) for p, q in zip(xs_g, xs_i))
 
 
@@ -483,6 +495,15 @@ class TestCostValue:
             cost_value(a, [1.0, bad, 0.0], 0.5, gamma, np.zeros(3))
         with pytest.raises(ValueError, match="y must be finite"):
             cost_value_many(a, [1.0, bad, 0.0], 0.5, gamma, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, bad, gamma):
+        a = DenseOperator(np.eye(3))
+        xs = np.zeros((3, 2))
+        xs[1, 1] = bad
+        with pytest.raises(ValueError, match="x must be finite"):
+            cost_value_many(a, np.ones(3), 0.5, gamma, xs)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
