@@ -42,6 +42,9 @@ EXIT_USAGE = 2
 # lambda_grid refuses longer grids: a tiny --lambda-step would never finish
 _MAX_GRID_STEPS = 10_000
 
+# eval and threshold refuse grids of more output rows: they would not fit in memory
+_MAX_ROWS = 1_000_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -58,26 +61,28 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory for CSV files (default ./gmcreg_out)",
         )
 
+    study = ExperimentSpec()
     p = sub.add_parser("sweep", help="lambda sweep of the DFT-frame denoising study")
     common(p)
-    p.add_argument("--signal-len", type=int, default=100)
-    p.add_argument("--coef-len", type=int, default=256)
-    p.add_argument("--f1", type=float, default=0.1)
-    p.add_argument("--f2", type=float, default=0.22)
-    p.add_argument("--a1", type=float, default=2.0)
-    p.add_argument("--a2", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--realizations", type=int, default=20)
-    p.add_argument("--gamma", type=float, default=0.8)
-    p.add_argument("--lambda-min", type=float, default=0.5)
-    p.add_argument("--lambda-max", type=float, default=3.5)
-    p.add_argument("--lambda-step", type=float, default=0.25)
+    p.add_argument("--signal-len", type=int, default=study.signal_len)
+    p.add_argument("--coef-len", type=int, default=study.coef_len)
+    p.add_argument("--f1", type=float, default=study.frequencies[0])
+    p.add_argument("--f2", type=float, default=study.frequencies[1])
+    p.add_argument("--a1", type=float, default=study.amplitudes[0])
+    p.add_argument("--a2", type=float, default=study.amplitudes[1])
+    p.add_argument("--sigma", type=float, default=study.noise_sigma)
+    p.add_argument("--realizations", type=int, default=study.realizations)
+    p.add_argument("--gamma", type=float, default=study.gamma)
+    grid = study.lambda_grid
+    p.add_argument("--lambda-min", type=float, default=grid[0])
+    p.add_argument("--lambda-max", type=float, default=grid[-1])
+    p.add_argument("--lambda-step", type=float, default=grid[1] - grid[0])
 
     p = sub.add_parser("denoise", help="denoise one signal and write the results")
     common(p)
     p.add_argument(
         "--method",
-        choices=["l1", "l1-debiased", "gmc"],
+        choices=[m.replace("_", "-") for m in METHODS],
         default="gmc",
     )
     p.add_argument(
@@ -88,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", help="signal CSV: one real per line, or re,im per line")
     p.add_argument("--frame", choices=["dft", "stft"], default="dft")
-    p.add_argument("--coef-len", type=int, default=256)
-    p.add_argument("--segment-len", type=int, default=64)
+    p.add_argument("--coef-len", type=int, default=study.coef_len)
+    p.add_argument("--segment-len", type=int, default=StftDemoSpec().segment_len)
     p.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=0.8)
-    p.add_argument("--sigma", type=float, default=1.0, help="noise added before denoising")
+    p.add_argument("--gamma", type=float, default=study.gamma)
+    p.add_argument(
+        "--sigma", type=float, default=study.noise_sigma, help="noise added before denoising"
+    )
 
     p = sub.add_parser("eval", help="generalized Huber / GMC penalty values on a 2-D grid")
     common(p)
@@ -183,18 +190,10 @@ def cmd_denoise(args) -> int:
             frame = DftFrameOperator(len(noisy), args.coef_len)
         else:
             frame = StftFrameOperator(len(noisy), args.segment_len)
-        gamma = args.gamma if args.method == "gmc" else 0.0
-        if args.method == "gmc" and not (0.0 <= gamma < 1.0):
-            print("error: gamma must lie in [0, 1)", file=sys.stderr)
-            return EXIT_USAGE
-        if not (0 < args.lam < np.inf):
-            print("error: lambda must be positive and finite", file=sys.stderr)
-            return EXIT_USAGE
+        result = denoise_frame(noisy, frame, args.method.replace("-", "_"), args.lam, args.gamma)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    method = args.method.replace("-", "_")
-    result = denoise_frame(noisy, frame, method, args.lam, gamma)
     out = _outdir(args)
     recon = result.recon.samples
     cols = (recon.real, recon.imag) if np.iscomplexobj(recon) else (recon,)
@@ -226,6 +225,9 @@ def cmd_eval(args) -> int:
     if args.grid_points < 2 or not (0 < span < np.inf):
         print("error: invalid grid (needs finite bounds with min < max)", file=sys.stderr)
         return EXIT_USAGE
+    if args.grid_points**2 > _MAX_ROWS:
+        print(f"error: the grid would write more than {_MAX_ROWS} rows", file=sys.stderr)
+        return EXIT_USAGE
     pen = GmcPenalty(b_op)
     ticks = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     x1, x2 = np.meshgrid(ticks, ticks, indexing="ij")
@@ -246,6 +248,9 @@ def cmd_threshold(args) -> int:
         return EXIT_USAGE
     if args.points < 2 or not (0 < args.y_max < np.inf):
         print("error: invalid curve grid", file=sys.stderr)
+        return EXIT_USAGE
+    if args.points > _MAX_ROWS:
+        print(f"error: the curve would write more than {_MAX_ROWS} rows", file=sys.stderr)
         return EXIT_USAGE
     y = np.linspace(-args.y_max, args.y_max, args.points)
     s = soft(y, args.lam)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import DftFrameOperator, LinearOperator, StftFrameOperator
-from .solvers import SolveConfig, debias_on_support, gmc_solve, ista_solve, solve_many
+from .solvers import SolveConfig, debias_on_support, gmc_solve, solve_many
 
 METHODS = ("l1", "l1_debiased", "gmc")
 
@@ -85,22 +85,22 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.signal_len <= 0 or self.coef_len < self.signal_len:
             raise ValueError("need 0 < signal_len <= coef_len")
-        if len(self.frequencies) != len(self.amplitudes):
-            raise ValueError("frequencies and amplitudes must pair up")
+        if len(self.frequencies) != 2 or len(self.amplitudes) != 2:
+            raise ValueError("need exactly two frequencies and two amplitudes")
         for f in self.frequencies:
             if not (0.0 < f < 0.5):
                 raise ValueError("frequencies must lie in (0, 0.5)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError("amplitudes must be finite")
+        if not (0.0 <= self.noise_sigma < np.inf):
+            raise ValueError("noise_sigma must be non-negative and finite")
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be non-empty and strictly increasing")
-        if not all(0.0 < v < np.inf for v in grid):
-            raise ValueError("lambda_grid values must be positive and finite")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError("gamma must lie in [0, 1)")
+        for lam in grid:
+            SolveConfig(lam, self.gamma)  # every cell's lambda and gamma must be valid
         _philox_key(self.seed)  # run_sweep draws its noise after any caller's checks
         object.__setattr__(self, "lambda_grid", grid)
 
@@ -168,8 +168,8 @@ class StftDemoSpec:
         for f in (self.freq_start, self.freq_end):
             if not (0.0 < f < 0.5):
                 raise ValueError("chirp frequencies must lie in (0, 0.5)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (0.0 <= self.noise_sigma < np.inf):
+            raise ValueError("noise_sigma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -286,27 +286,20 @@ def denoise_frame(
 ) -> DenoiseResult:
     """Estimate frame coefficients of a noisy signal and reconstruct.
 
-    ``method`` selects the penalty: ``"l1"`` (ISTA), ``"l1_debiased"``
-    (ISTA then unregularized least squares on the support), or ``"gmc"``
-    (the saddle-point solver at the given ``gamma``).  The reconstruction
-    is the frame synthesis of the optimized coefficients, cast back to real
-    when the input signal is real.  Non-convergence is flagged on the
-    result, not raised.
+    Every method runs one ``gmc_solve``: ``"gmc"`` at ``gamma``, ``"l1"`` at
+    ``gamma = 0``, which is ISTA bit for bit, and ``"l1_debiased"`` as
+    ``"l1"`` then unregularized least squares on the support.  The
+    reconstruction is the frame synthesis of the coefficients, real when
+    the input signal is real.  Non-convergence is flagged, not raised.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     y = _samples(noisy)
-    if len(y) != frame.codomain_dim:
-        raise ValueError("frame codomain size must match the signal length")
     cfg = SolveConfig(lam=lam, gamma=gamma if method == "gmc" else 0.0, tol=tol, max_iter=max_iter)
-    if method == "gmc":
-        report = gmc_solve(frame, y, cfg)
-        coef = report.x_star
-    else:
-        report = ista_solve(frame, y, lam, cfg)
-        coef = report.x_star
-        if method == "l1_debiased":
-            coef = debias_on_support(frame, y, coef)
+    report = gmc_solve(frame, y, cfg)
+    coef = report.x_star
+    if method == "l1_debiased":
+        coef = debias_on_support(frame, y, coef)
     return _result(frame, y, coef, report.converged, method, lam)
 
 

@@ -28,9 +28,9 @@ class LinearOperator:
     j of the result depends on column j of the input only.  ``forward`` and
     ``adjoint`` check a 1-D vector and apply the block method to it as one
     column.  ``field`` is ``"real"`` or ``"complex"``; for complex operators
-    the adjoint is the conjugate transpose.  ``gram_norm`` estimates
-    ``||A^H A||_2`` by power iteration; a subclass that knows the value
-    exactly overrides it.
+    the adjoint is the conjugate transpose.  ``gram_norm`` is ``||A^H A||_2``;
+    this module's classes give it exactly, and a subclass that does not
+    override it gets the power-iteration estimate ``estimate_gram_norm``.
     """
 
     def __init__(self, domain_dim: int, codomain_dim: int, field: str):
@@ -86,10 +86,10 @@ def _columns(a, n: int) -> np.ndarray:
 
 
 class DenseOperator(LinearOperator):
-    """Operator backed by an explicit M x N array of entries.
+    """Operator backed by an explicit M x N array of finite entries.
 
-    Serves as the reference implementation that oracles and tests compare
-    matrix-free operators against.  Entries must be finite.
+    The reference that oracles and tests compare matrix-free operators
+    against; ``gram_norm`` is exact, by LAPACK's SVD of the entries.
     """
 
     def __init__(self, entries):
@@ -109,6 +109,9 @@ class DenseOperator(LinearOperator):
         """Load a real matrix from CSV, row-major, one row per line."""
         a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         return cls(a)
+
+    def gram_norm(self) -> float:
+        return float(np.linalg.norm(self.entries, 2) ** 2)
 
     def forward_multi(self, xs):
         return self.entries @ _columns(xs, self.domain_dim)

@@ -111,13 +111,14 @@ def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
     return xs[:, 0]
 
 
-def _inner_solve(pen: GmcPenalty, xs: np.ndarray):
+def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
     """min_v ||v||_1 + 0.5*||B(x - v)||^2 for every column x of ``xs``.
 
     ISTA on B with data ``B x`` and weight 1, at step 1/||B^T B||_2 so the
     objective decreases monotonically; each column stops at its own
     tolerance.  Returns (v, values, iterations, residual), the last two the
-    largest over the columns.
+    largest over the columns.  The ``ConvergenceError`` payload holds one
+    column per query point, or the 1-D vector and a float when ``single``.
     """
     if pen.gram_norm == 0.0:
         # B = 0: the minimum is 0 at v = 0
@@ -129,7 +130,6 @@ def _inner_solve(pen: GmcPenalty, xs: np.ndarray):
     values, resid = _inner_values(pen, xs, v), float(resids.max())
     if resid <= pen.inner_tol:
         return v, values, int(iters.max()), resid
-    single = v.shape[1] == 1
     raise ConvergenceError(
         f"inner shrinkage iteration did not reach tol={pen.inner_tol} "
         f"in {pen.inner_max_iter} iterations",
@@ -155,7 +155,7 @@ def eval_generalized_huber(pen: GmcPenalty, x) -> InnerSolution:
     iteration budget is exhausted.
     """
     x = _as_vector(pen, x, "eval_generalized_huber")
-    v, values, iters, resid = _inner_solve(pen, x[:, None])
+    v, values, iters, resid = _inner_solve(pen, x[:, None], single=True)
     return InnerSolution(
         v_star=v[:, 0], value=float(values[0]), iterations=iters, residual=resid
     )

@@ -40,12 +40,12 @@ to a one-vector loop.  A column is written out when it converges or runs
 out of budget, after the same number of iterations as its solo solve.  On
 the FFT-applied frames its iterates equal the solo solve's bit for bit; on
 a dense operator they differ only by the rounding of a matrix-matrix
-against a matrix-vector product.  The block drops its
-written-out columns once they make up a quarter of it.  The step size
-comes from the operator's ``gram_norm``: exact for the DFT and STFT
-frames, a power-iteration estimate otherwise.  The penalties module runs
-the generalized-Huber inner problem on the same kernel, and holds the
-objective ``cost_value``.  An iterate that turns NaN raises
+against a matrix-vector product.  The block drops its written-out columns
+once they make up a quarter of it.  The step size comes from the
+operator's ``gram_norm``: exact for dense matrices and the frames; only
+other subclasses use a power-iteration estimate.  The penalties module
+runs the generalized-Huber inner problem on the same kernel, and holds
+the objective ``cost_value``.  An iterate that turns NaN raises
 ``FloatingPointError``.
 
 Solvers hold no hidden state: identical inputs and configuration produce
@@ -89,7 +89,7 @@ class SolveConfig:
 
     def __post_init__(self):
         if not (0 < self.lam < np.inf):
-            raise ValueError("lam must be positive and finite")
+            raise ValueError("lambda must be positive and finite")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1); gamma = 1 breaks the step-size bound")
         if not (self.tol > 0):

@@ -27,7 +27,8 @@ class TestThreshold:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--y-max", "inf"], ["--y-max", "nan"], ["--mu", "inf"], ["--lambda", "nan"]],
+        [["--y-max", "inf"], ["--y-max", "nan"], ["--mu", "inf"], ["--lambda", "nan"],
+         ["--points", "100000000000"]],
     )
     def test_non_finite_flag_is_usage_error(self, tmp_path, flags):
         assert main(["threshold", *flags, "--out", str(tmp_path / "o")]) == 2
@@ -108,13 +109,22 @@ class TestEval:
     @pytest.mark.parametrize(
         "flags",
         [["--grid-min=-inf"], ["--grid-max", "inf"], ["--grid-min", "nan"],
-         ["--grid-min=-1e308", "--grid-max", "1e308"]],
+         ["--grid-min=-1e308", "--grid-max", "1e308"], ["--grid-points", "200000"]],
     )
     def test_non_finite_grid_is_usage_error(self, tmp_path, flags):
         b_path = self.write_b(tmp_path, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         out = tmp_path / "o"
         assert main(["eval", "--b-matrix", str(b_path), *flags, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_close_singular_values(self, tmp_path):
+        # B^T B = diag(1, 0.99998): too close for power iteration to separate
+        b_path = self.write_b(tmp_path, [[1.0, 0.0], [0.0, 0.99999], [0.0, 0.0]])
+        out = tmp_path / "o"
+        assert main(["eval", "--b-matrix", str(b_path), "--grid-points", "5",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out / "penalty_grid.csv")
+        assert len(rows) == 25
 
     def test_missing_file(self, tmp_path):
         assert main(["eval", "--b-matrix", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
@@ -152,6 +162,19 @@ class TestDenoise:
         assert main(["denoise", "--seed", seed, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: seed")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("gamma", ["1.0", "nan"])
+    def test_bad_gmc_gamma_is_usage_error(self, tmp_path, capsys, gamma):
+        assert main(["denoise", "--method", "gmc", "--gamma", gamma,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: gamma")
+        assert not (tmp_path / "o").exists()
+
+    def test_l1_ignores_gamma(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["denoise", "--method", "l1", "--gamma", "7", "--out", str(out)]) == 0
+        assert (out / "reconstruction.csv").exists()
+        assert capsys.readouterr().out.startswith("rmse ")
 
     def test_unknown_method(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -251,6 +274,14 @@ class TestSweep:
     def test_bad_lambda_grid_is_usage_error(self, tmp_path, capsys, flags):
         assert main(["sweep", *flags, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: lambda")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "nan"], ["--sigma", "inf"], ["--a1", "inf"], ["--a2", "nan"]],
+    )
+    def test_non_finite_signal_flag_is_usage_error(self, tmp_path, flags):
+        assert main(["sweep", *flags, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])

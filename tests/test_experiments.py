@@ -58,6 +58,20 @@ class TestSignals:
             ExperimentSpec(realizations=0)
         with pytest.raises(ValueError):
             ExperimentSpec(gamma=1.0)
+        bad_specs = [
+            dict(noise_sigma=np.nan),
+            dict(noise_sigma=np.inf),
+            dict(amplitudes=(np.inf, 1.0)),
+            dict(amplitudes=(2.0, np.nan)),
+            dict(frequencies=(0.1, 0.2, 0.3), amplitudes=(1.0, 1.0, 1.0)),
+            dict(frequencies=(0.1,), amplitudes=(1.0,)),
+        ]
+        for kwargs in bad_specs:
+            with pytest.raises(ValueError):
+                ExperimentSpec(**kwargs)
+        for sigma in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError):
+                StftDemoSpec(noise_sigma=sigma)
 
 
 class TestRmse:

@@ -9,6 +9,7 @@ from gmcreg import (
     DenseOperator,
     DftFrameOperator,
     GmcPenalty,
+    LinearOperator,
     ScaledOperator,
     SolveConfig,
     StftFrameOperator,
@@ -20,6 +21,20 @@ from gmcreg import (
 )
 
 from _oracles import dense_gram_lambda_max, dft_frame_entries, stft_analysis, stft_synthesis
+
+
+class UndeclaredGram(LinearOperator):
+    """A dense real operator that leaves ``gram_norm`` to the base class."""
+
+    def __init__(self, entries):
+        super().__init__(entries.shape[1], entries.shape[0], "real")
+        self.entries = entries
+
+    def forward_multi(self, xs):
+        return self.entries @ xs
+
+    def adjoint_multi(self, ys):
+        return self.entries.T @ ys
 
 
 def inner(a, b):
@@ -295,7 +310,7 @@ class TestDeclaredGramNorm:
         rng = np.random.default_rng(21)
         a = rng.normal(size=(5, 7))
         dense = DenseOperator(a)
-        assert dense.gram_norm() == estimate_gram_norm(dense)
+        assert dense.gram_norm() == pytest.approx(dense_gram_lambda_max(a), rel=1e-12)
         scaled = ScaledOperator(dense, 0.3)
         assert scaled.gram_norm() == pytest.approx(0.09 * dense_gram_lambda_max(a), rel=1e-8)
 
@@ -311,8 +326,23 @@ class TestDeclaredGramNorm:
         solve_many(stft, rng.normal(size=(90, 2)), cfgs)
         pen = build_b_from_a(dft, 0.5, 0.8)
         eval_generalized_huber(pen, rng.normal(size=48))
-        with pytest.raises(AssertionError, match="DenseOperator"):
-            GmcPenalty(DenseOperator(np.eye(3)))
+        GmcPenalty(DenseOperator(np.eye(3)))
+        with pytest.raises(AssertionError, match="UndeclaredGram"):
+            GmcPenalty(UndeclaredGram(np.eye(3)))
+
+    def test_dense_close_top_singular_values(self):
+        # 60 x 60 with singular values 1, 1 - 1e-4 and the rest below 0.9
+        rng = np.random.default_rng(23)
+        u, _ = np.linalg.qr(rng.normal(size=(60, 60)))
+        v, _ = np.linalg.qr(rng.normal(size=(60, 60)))
+        s = np.concatenate(([1.0, 1.0 - 1e-4], rng.uniform(0.0, 0.9, size=58)))
+        dense = DenseOperator((u * s) @ v.T)
+        assert dense.gram_norm() == pytest.approx(1.0, rel=1e-12)
+        # power iteration cannot separate the top two singular values
+        with pytest.raises(ConvergenceError):
+            estimate_gram_norm(dense)
+        y = dense.forward(rng.normal(size=60))
+        assert gmc_solve(dense, y, SolveConfig(lam=0.1, gamma=0.8, tol=1e-6)).converged
 
 
 class TestCsv:

@@ -168,20 +168,25 @@ class TestValue:
             eval_generalized_huber(pen, np.array([3.0, 3.0]))
         assert err.value.best is not None
         assert err.value.best.iterations == 3
+        # the single-vector evaluator reports a 1-D minimizer and a float value
+        assert err.value.best.v_star.shape == (2,)
+        assert isinstance(err.value.best.value, float)
 
     def test_batched_nonconvergence_best_is_per_column(self):
         b = np.array([[1.0, 0.9], [0.0, 0.435]])
         pen = GmcPenalty(DenseOperator(b), inner_tol=1e-14, inner_max_iter=3)
-        xs = np.array([[3.0, 1.0, -2.0], [3.0, 0.5, 2.0]])
-        with pytest.raises(ConvergenceError) as err:
-            eval_generalized_huber_many(pen, xs)
-        best = err.value.best
-        assert best.v_star.shape == (2, 3)
-        assert np.shape(best.value) == (3,)
-        # each value is the inner objective at its own column of v_star
-        v = best.v_star
-        expected = np.sum(np.abs(v), axis=0) + 0.5 * np.sum((b @ (xs - v)) ** 2, axis=0)
-        assert np.allclose(best.value, expected, rtol=1e-12)
+        # the one-column block keeps the batched payload shape too
+        for xs in (np.array([[3.0, 1.0, -2.0], [3.0, 0.5, 2.0]]), np.array([[3.0], [3.0]])):
+            k = xs.shape[1]
+            with pytest.raises(ConvergenceError) as err:
+                eval_generalized_huber_many(pen, xs)
+            best = err.value.best
+            assert best.v_star.shape == (2, k)
+            assert np.shape(best.value) == (k,)
+            # each value is the inner objective at its own column of v_star
+            v = best.v_star
+            expected = np.sum(np.abs(v), axis=0) + 0.5 * np.sum((b @ (xs - v)) ** 2, axis=0)
+            assert np.allclose(best.value, expected, rtol=1e-12)
 
 
 class TestInnerSolveIsIsta:
