@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .experiments import (
+    _SWEEP_BLOCK,
     METHODS,
     ExperimentSpec,
     Signal,
@@ -42,7 +43,9 @@ EXIT_USAGE = 2
 # lambda_grid refuses longer grids: a tiny --lambda-step would never finish
 _MAX_GRID_STEPS = 10_000
 
-# eval and threshold refuse grids of more output rows: they would not fit in memory
+# eval and threshold refuse grids of more output rows: they would not fit in memory.
+# The same number bounds each length flag, the rows of a sweep's records and the
+# coefficients of one sweep solve block.
 _MAX_ROWS = 1_000_000
 
 
@@ -144,8 +147,27 @@ def lambda_grid(lo: float, hi: float, step: float) -> tuple:
     return tuple(lo + step * k for k in range(int(round(steps)) + 1))
 
 
+def _check_lengths(**lengths) -> None:
+    """Refuse a length flag above ``_MAX_ROWS`` with ``ValueError``."""
+    for name, value in lengths.items():
+        if value > _MAX_ROWS:
+            raise ValueError(f"--{name.replace('_', '-')} must be at most {_MAX_ROWS}")
+
+
+def _check_sweep_size(args, n_lambdas: int) -> None:
+    """Refuse a sweep whose records or solve blocks would not fit in memory."""
+    _check_lengths(signal_len=args.signal_len, coef_len=args.coef_len)
+    cells = args.realizations * n_lambdas
+    if cells * len(METHODS) > _MAX_ROWS:
+        raise ValueError(f"the sweep would write more than {_MAX_ROWS} record rows")
+    if min(cells, _SWEEP_BLOCK) * args.coef_len > _MAX_ROWS:
+        raise ValueError(f"a sweep solve block would hold more than {_MAX_ROWS} coefficients")
+
+
 def cmd_sweep(args) -> int:
     try:
+        grid = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
+        _check_sweep_size(args, len(grid))
         spec = ExperimentSpec(
             signal_len=args.signal_len,
             coef_len=args.coef_len,
@@ -153,7 +175,7 @@ def cmd_sweep(args) -> int:
             amplitudes=(args.a1, args.a2),
             noise_sigma=args.sigma,
             realizations=args.realizations,
-            lambda_grid=lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step),
+            lambda_grid=grid,
             gamma=args.gamma,
             seed=args.seed,
         )
@@ -185,6 +207,7 @@ def cmd_denoise(args) -> int:
         clean = make_chirp(StftDemoSpec())
         signal = clean
     try:
+        _check_lengths(coef_len=args.coef_len, segment_len=args.segment_len)
         noisy = add_awgn(signal, args.sigma, args.seed)
         if args.frame == "dft":
             frame = DftFrameOperator(len(noisy), args.coef_len)

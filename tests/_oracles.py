@@ -106,25 +106,19 @@ def psd_factor(gram):
     return (vecs * np.sqrt(w)) @ vecs.T
 
 
-def dense_saddle_steps(entries, y, lam, gamma, mu, inertia=0.0):
-    """Endless ``(x, v, delta)`` of the two-block saddle recurrence.
+def dense_saddle_step(entries, y, lam, gamma, mu, p, q):
+    """One forward-backward step T(p, q) of the two-block saddle recurrence.
 
-    Written out with dense products and a fixed step ``mu``, starting from
-    x = v = 0.  One step from a point (p, q) is
+    With dense products and step ``mu``:
 
         x' = shrink(p - mu * A^H (A (p + gamma*(q - p)) - y), mu*lam)
         v' = shrink(q - mu * gamma * A^H (A (q - p)), mu*lam)
 
-    with ``delta = max(|x' - p|_inf, |v' - q|_inf)``, where ``shrink`` zeroes
-    entries of modulus <= t and moves the others towards zero by t (complex
-    entries keep their phase).  With ``inertia = 0`` every step starts from
-    (x, v): the plain recurrence.  Otherwise it starts from the extrapolated
-    point ``(x, v) + inertia * ((x, v) - (x_prev, v_prev))``, with
-    (x_prev, v_prev) = (x, v) on the first step, and a step whose delta
-    exceeds the previous step's is discarded and taken from (x, v) instead.
+    where ``shrink`` zeroes entries of modulus <= t and moves the others
+    towards zero by t (complex entries keep their phase).  Returns the
+    stacked (x', v').
     """
     a = np.asarray(entries)
-    y = np.asarray(y)
     t = mu * lam
 
     def shrink(z):
@@ -134,24 +128,78 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, inertia=0.0):
                 return np.where(m > t, (1.0 - t / m) * z, 0.0 + 0.0j)
         return np.where(m > t, (m - t) * np.sign(z), 0.0)
 
-    def step(p, q):
-        x1 = shrink(p - mu * (a.conj().T @ (a @ (p + gamma * (q - p)) - y)))
-        v1 = shrink(q - mu * gamma * (a.conj().T @ (a @ (q - p))))
-        return x1, v1, max(np.max(np.abs(x1 - p)), np.max(np.abs(v1 - q)))
+    return np.stack((shrink(p - mu * (a.conj().T @ (a @ (p + gamma * (q - p)) - y))),
+                     shrink(q - mu * gamma * (a.conj().T @ (a @ (q - p))))))
 
-    x = np.zeros(a.shape[1], dtype=np.result_type(a, y, np.float64))
-    v = np.zeros_like(x)
-    x_prev, v_prev, last = x, v, np.inf
+
+def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
+    """Endless ``(x, v, delta)`` of the two-block saddle recurrence.
+
+    Written out for one vector, with dense products and a fixed step
+    ``mu``; one step T is ``dense_saddle_step``.  Each step yields
+    T(z) of the point z it was taken from, with ``delta = max(|x' - p|_inf,
+    |v' - q|_inf)``.  The first point is z = 0.  With ``memory = 0`` every
+    next point is T(z): the plain recurrence.
+
+    Otherwise the next point is the type-II Anderson point of the last
+    ``memory`` steps, in the kernel's formulas.  Points are real rows: x
+    then v, complex entries as (re, im).  With f = T(z) - z, a step from z
+    to z' records ``df = f' - f`` and ``dg = T(z') - T(z)`` in ring slot
+    ``s``, sets row and column s of ``H = df^T df`` to that slot's inner
+    products r, and moves ``b = df^T f`` to ``b + r``, with ``b_s = df_s^T
+    f' = (|f'|^2 - |f|^2 + r_s) / 2``.  The inner products over all
+    ``memory`` slots and the combination are the kernel's einsums; a
+    squared norm is ``np.sum`` of the elementwise square.  When H has a positive trace the
+    next point to try is ``T(z) - sum_s c_s dg_s`` with
+    ``(H + 1e-10 * trace(H) * I) c = b``, kept when its residual has a
+    smaller 2-norm than f.  Otherwise the next point is T(z), and the
+    history is zeroed before that step is recorded.  With a zero trace
+    (no step recorded yet, or only zeros) the next point is T(z).
+    """
+    a = np.asarray(entries)
+    y = np.asarray(y)
+
+    def step(z):
+        return dense_saddle_step(a, y, lam, gamma, mu, z[0], z[1])
+
+    def rows(z):
+        return z.reshape(-1).view(np.float64)
+
+    def residual(z, g1):
+        f = rows(g1 - z)
+        return f, np.sum(f * f), float(np.max(np.abs(g1 - z)))
+
+    g = np.zeros((2, a.shape[1]), dtype=np.result_type(a, y, np.float64))
+    width = rows(g).size
+    df, dg = np.zeros((memory, width)), np.zeros((memory, width))
+    gram, rhs = np.zeros((memory, memory)), np.zeros(memory)
+    f, norm2, slot = None, 0.0, -1
     while True:
-        if inertia == 0.0:
-            x1, v1, delta = step(x, v)
+        trace = np.trace(gram)
+        if trace > 0.0:
+            h = gram + 1e-10 * trace * np.eye(memory)
+            coef = np.linalg.solve(h[None], rhs[None, :, None])[0, :, 0]
+            shift = np.einsum("km,kmw->kw", coef[None], dg[None])[0]
+            z = g - shift.view(g.dtype).reshape(g.shape)
+            g1 = step(z)
+            f1, norm2_1, delta = residual(z, g1)
+            if not norm2_1 < norm2:
+                g1 = step(g)
+                f1, norm2_1, delta = residual(g, g1)
+                df[:], dg[:], gram[:], rhs[:] = 0.0, 0.0, 0.0, 0.0
         else:
-            x1, v1, delta = step(x + inertia * (x - x_prev), v + inertia * (v - v_prev))
-            if delta > last:
-                x1, v1, delta = step(x, v)
-        x_prev, v_prev, last = x, v, delta
-        x, v = x1, v1
-        yield x, v, delta
+            g1 = step(g)
+            f1, norm2_1, delta = residual(g, g1)
+        if memory and slot >= 0:
+            df[slot] = f1 - f
+            dg[slot] = rows(g1) - rows(g)
+            row = np.einsum("kmw,kw->km", df[None], df[slot][None])[0]
+            gram[slot, :] = gram[:, slot] = row
+            rhs += row
+            rhs[slot] = 0.5 * (norm2_1 - norm2 + row[slot])
+        slot = (slot + 1) % memory if memory else -1
+        g, f, norm2 = g1, f1, norm2_1
+        yield g[0], g[1], delta
 
 
 def stft_synthesis(op, x):

@@ -176,6 +176,14 @@ class TestDenoise:
         assert (out / "reconstruction.csv").exists()
         assert capsys.readouterr().out.startswith("rmse ")
 
+    @pytest.mark.parametrize(
+        "flags", [["--coef-len", "10000000000"], ["--frame", "stft", "--segment-len", "10000000000"]]
+    )
+    def test_oversized_length_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["denoise", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert "must be at most 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_method(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["denoise", "--method", "ridge", "--out", str(tmp_path)])
@@ -282,6 +290,20 @@ class TestSweep:
     )
     def test_non_finite_signal_flag_is_usage_error(self, tmp_path, flags):
         assert main(["sweep", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--realizations", "100000000000"], "record rows"),
+            (["--signal-len", "10000000000", "--coef-len", "10"], "--signal-len must be at most"),
+            (["--coef-len", "10000000000"], "--coef-len must be at most"),
+            (["--coef-len", "40000"], "solve block would hold"),
+        ],
+    )
+    def test_oversized_study_is_usage_error(self, tmp_path, capsys, flags, message):
+        assert main(["sweep", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999"])
