@@ -45,7 +45,9 @@ _MAX_GRID_STEPS = 10_000
 
 # eval and threshold refuse grids of more output rows: they would not fit in memory.
 # The same number bounds each length flag, the rows of a sweep's records and the
-# coefficients of one sweep solve block.
+# coefficients of one sweep solve block.  A GMC block's Anderson history costs 640
+# bytes per coefficient (two rings of 10 complex (x, v) pairs): 640 MB at this
+# bound, 21 MB for a full 128-column block of the reference sweep's 256 coefficients.
 _MAX_ROWS = 1_000_000
 
 

@@ -34,7 +34,7 @@ _DENOISE_TOL = 1e-6
 _DENOISE_MAX_ITER = 40_000
 
 # run_sweep solves at most this many (lambda, realization) cells as one block
-_SWEEP_BLOCK = 256
+_SWEEP_BLOCK = 128
 
 _DEFAULT_LAMBDAS = tuple(0.5 + 0.25 * k for k in range(13))  # 0.5 .. 3.5
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmcreg.solvers
 from gmcreg import (
     DenseOperator,
     DftFrameOperator,
@@ -206,7 +207,7 @@ class TestDenseOracle:
     """``gmc_solve`` against the dense two-block recurrence, bit for bit.
 
     At ``gamma = 0`` that is plain ISTA; at ``gamma > 0`` it is the
-    safeguarded Anderson recurrence with the kernel's memory of five steps.
+    safeguarded Anderson recurrence with the kernel's memory ``_MEMORY``.
     """
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -223,7 +224,8 @@ class TestDenseOracle:
         cfg = SolveConfig(lam=lam, gamma=gamma, mu=mu, tol=1e-300, max_iter=150)
         states = []
         gmc_solve(DenseOperator(entries), y, cfg, callback=states.append)
-        expected = dense_saddle_steps(entries, y, lam, gamma, mu, 5 if gamma > 0 else 0)
+        memory = gmcreg.solvers._MEMORY if gamma > 0 else 0
+        expected = dense_saddle_steps(entries, y, lam, gamma, mu, memory)
         assert len(states) == 150 or states[-1].delta == 0.0
         for s, (x, v, delta) in zip(states, expected):
             assert s.x.tobytes() == x.tobytes()
@@ -406,13 +408,25 @@ class TestSolveMany:
         assert reports[0].iterations == 1 and reports[0].converged
         assert not all(r.converged for r in reports)
         assert sum(r.converged for r in reports) >= 2
-        for rep, solo in zip(reports, solos):
+        for j, (rep, solo) in enumerate(zip(reports, solos)):
             assert rep.iterations == solo.iterations
             assert rep.converged == solo.converged
             assert rep.x_star.shape == solo.x_star.shape
             if kind in ("stft", "dft"):  # per-column FFTs: the very same arithmetic
                 assert rep.x_star.tobytes() == solo.x_star.tobytes()
                 assert rep.v_star.tobytes() == solo.v_star.tobytes()
+            elif gamma > 0 and kind in ("dense_real", "dense_complex"):
+                # matrix-matrix and matrix-vector products round differently,
+                # and here the Anderson steps amplify that past 1e-12 (see
+                # TestAndersonProperties): a converged column is held to the
+                # fixed-point test, a column stopped by its budget to its solo
+                # answer within the tolerance
+                if rep.converged:
+                    change = fixed_point_change(op.entries, ys[:, j], self.LAMS[j], gamma, rep)
+                    assert change <= 3 * 1e-8
+                else:
+                    assert np.max(np.abs(rep.x_star - solo.x_star)) <= 1e-8
+                    assert np.max(np.abs(rep.v_star - solo.v_star)) <= 1e-8
             else:
                 assert np.max(np.abs(rep.x_star - solo.x_star)) <= 1e-12
                 assert np.max(np.abs(rep.v_star - solo.v_star)) <= 1e-12
