@@ -7,14 +7,10 @@ frame-denoising experiments.
 
 from .exceptions import ConvergenceError
 from .experiments import (
-    DenoiseResult,
     ExperimentSpec,
     Signal,
-    StftDemoReport,
     StftDemoSpec,
-    SweepAggregate,
     SweepRecord,
-    SweepResult,
     add_awgn,
     aggregate,
     coefficient_clusters,
@@ -40,7 +36,6 @@ from .operators import (
 )
 from .penalties import (
     GmcPenalty,
-    InnerSolution,
     build_b_from_a,
     cost_value,
     cost_value_many,
@@ -63,9 +58,7 @@ from .scalar import (
     soft,
 )
 from .solvers import (
-    SaddleState,
     SolveConfig,
-    SolveReport,
     debias_on_support,
     diagonal_solve,
     gmc_solve,

@@ -2,8 +2,10 @@
 
 Every subcommand writes CSV files into the ``--out`` directory (created if
 missing) so results can be plotted externally.  Exit codes: 0 on success,
-1 on a runtime/solver failure, 2 on a usage error.  Given the same flags
-and ``--seed``, outputs are byte-identical across runs.
+1 on a runtime/solver failure, 2 on a usage error: a handler raises
+``ValueError`` before it creates ``--out``, and ``main`` alone maps it to
+the exit code.  Given the same flags and ``--seed``, outputs are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .experiments import (
-    _SWEEP_BLOCK,
     METHODS,
     ExperimentSpec,
     Signal,
@@ -44,10 +45,7 @@ EXIT_USAGE = 2
 _MAX_GRID_STEPS = 10_000
 
 # eval and threshold refuse grids of more output rows: they would not fit in memory.
-# The same number bounds each length flag, the rows of a sweep's records and the
-# coefficients of one sweep solve block.  A GMC block's Anderson history costs 640
-# bytes per coefficient (two rings of 10 complex (x, v) pairs): 640 MB at this
-# bound, 21 MB for a full 128-column block of the reference sweep's 256 coefficients.
+# The same number bounds each length flag and the rows of a sweep's records.
 _MAX_ROWS = 1_000_000
 
 
@@ -137,6 +135,14 @@ def _read_signal_csv(path) -> Signal:
     raise ValueError("signal CSV must have one (real) or two (re,im) columns")
 
 
+def _read(what: str, reader, path):
+    """``reader(path)``, with any failure to read or parse it a usage error."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+
+
 def lambda_grid(lo: float, hi: float, step: float) -> tuple:
     """Inclusive arithmetic grid of at most 10 001 values; the default flags give 13."""
     if not np.all(np.isfinite((lo, hi, step))):
@@ -156,34 +162,22 @@ def _check_lengths(**lengths) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be at most {_MAX_ROWS}")
 
 
-def _check_sweep_size(args, n_lambdas: int) -> None:
-    """Refuse a sweep whose records or solve blocks would not fit in memory."""
-    _check_lengths(signal_len=args.signal_len, coef_len=args.coef_len)
-    cells = args.realizations * n_lambdas
-    if cells * len(METHODS) > _MAX_ROWS:
-        raise ValueError(f"the sweep would write more than {_MAX_ROWS} record rows")
-    if min(cells, _SWEEP_BLOCK) * args.coef_len > _MAX_ROWS:
-        raise ValueError(f"a sweep solve block would hold more than {_MAX_ROWS} coefficients")
-
-
 def cmd_sweep(args) -> int:
-    try:
-        grid = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
-        _check_sweep_size(args, len(grid))
-        spec = ExperimentSpec(
-            signal_len=args.signal_len,
-            coef_len=args.coef_len,
-            frequencies=(args.f1, args.f2),
-            amplitudes=(args.a1, args.a2),
-            noise_sigma=args.sigma,
-            realizations=args.realizations,
-            lambda_grid=grid,
-            gamma=args.gamma,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
+    _check_lengths(signal_len=args.signal_len, coef_len=args.coef_len)
+    if args.realizations * len(grid) * len(METHODS) > _MAX_ROWS:
+        raise ValueError(f"the sweep would write more than {_MAX_ROWS} record rows")
+    spec = ExperimentSpec(
+        signal_len=args.signal_len,
+        coef_len=args.coef_len,
+        frequencies=(args.f1, args.f2),
+        amplitudes=(args.a1, args.a2),
+        noise_sigma=args.sigma,
+        realizations=args.realizations,
+        lambda_grid=grid,
+        gamma=args.gamma,
+        seed=args.seed,
+    )
     out = _outdir(args)
     result = run_sweep(spec)
     write_records_csv(result.records, os.path.join(out, "records.csv"))
@@ -197,28 +191,20 @@ def cmd_sweep(args) -> int:
 def cmd_denoise(args) -> int:
     clean = None
     if args.input is not None:
-        try:
-            signal = _read_signal_csv(args.input)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read input signal: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        signal = _read("input signal", _read_signal_csv, args.input)
     elif args.signal == "two-sine":
         clean = make_two_sine(ExperimentSpec())
         signal = clean
     else:
         clean = make_chirp(StftDemoSpec())
         signal = clean
-    try:
-        _check_lengths(coef_len=args.coef_len, segment_len=args.segment_len)
-        noisy = add_awgn(signal, args.sigma, args.seed)
-        if args.frame == "dft":
-            frame = DftFrameOperator(len(noisy), args.coef_len)
-        else:
-            frame = StftFrameOperator(len(noisy), args.segment_len)
-        result = denoise_frame(noisy, frame, args.method.replace("-", "_"), args.lam, args.gamma)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_lengths(coef_len=args.coef_len, segment_len=args.segment_len)
+    noisy = add_awgn(signal, args.sigma, args.seed)
+    if args.frame == "dft":
+        frame = DftFrameOperator(len(noisy), args.coef_len)
+    else:
+        frame = StftFrameOperator(len(noisy), args.segment_len)
+    result = denoise_frame(noisy, frame, args.method.replace("-", "_"), args.lam, args.gamma)
     out = _outdir(args)
     recon = result.recon.samples
     cols = (recon.real, recon.imag) if np.iscomplexobj(recon) else (recon,)
@@ -237,22 +223,15 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        b_op = DenseOperator.from_csv(args.b_matrix)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read B matrix: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    b_op = _read("B matrix", DenseOperator.from_csv, args.b_matrix)
     if b_op.domain_dim != 2:
-        print("error: grid evaluation needs a B matrix with exactly 2 columns", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("grid evaluation needs a B matrix with exactly 2 columns")
     # a finite span also rules out infinite bounds and an overflowing span
     span = args.grid_max - args.grid_min
     if args.grid_points < 2 or not (0 < span < np.inf):
-        print("error: invalid grid (needs finite bounds with min < max)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("invalid grid (needs finite bounds with min < max)")
     if args.grid_points**2 > _MAX_ROWS:
-        print(f"error: the grid would write more than {_MAX_ROWS} rows", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the grid would write more than {_MAX_ROWS} rows")
     pen = GmcPenalty(b_op)
     ticks = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     x1, x2 = np.meshgrid(ticks, ticks, indexing="ij")
@@ -268,18 +247,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if not (0 < args.lam < args.mu < np.inf):
-        print("error: need finite mu > lambda > 0", file=sys.stderr)
-        return EXIT_USAGE
+    params = FirmParams(lam=args.lam, mu=args.mu)
     if args.points < 2 or not (0 < args.y_max < np.inf):
-        print("error: invalid curve grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("invalid curve grid")
     if args.points > _MAX_ROWS:
-        print(f"error: the curve would write more than {_MAX_ROWS} rows", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the curve would write more than {_MAX_ROWS} rows")
     y = np.linspace(-args.y_max, args.y_max, args.points)
     s = soft(y, args.lam)
-    f = firm(y, FirmParams(lam=args.lam, mu=args.mu))
+    f = firm(y, params)
     out = _outdir(args)
     _write_csv(os.path.join(out, "thresholds.csv"), [("y", "soft", "firm"), *zip(y, s, f)])
     print(f"wrote {args.points} threshold rows")
@@ -295,11 +270,15 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "threshold": cmd_threshold,
     }
+    # LinAlgError subclasses ValueError, so the runtime failures must come first
     try:
         return handlers[args.command](args)
     except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def app() -> None:

@@ -33,8 +33,11 @@ METHODS = ("l1", "l1_debiased", "gmc")
 _DENOISE_TOL = 1e-6
 _DENOISE_MAX_ITER = 40_000
 
-# run_sweep solves at most this many (lambda, realization) cells as one block
+# run_sweep solves at most this many (lambda, realization) cells as one block, and
+# ExperimentSpec refuses a study whose block would hold more coefficients than
+# _MAX_BLOCK_COEFS: the GMC kernel keeps an Anderson history of every coefficient
 _SWEEP_BLOCK = 128
+_MAX_BLOCK_COEFS = 1_000_000
 
 _DEFAULT_LAMBDAS = tuple(0.5 + 0.25 * k for k in range(13))  # 0.5 .. 3.5
 
@@ -69,7 +72,9 @@ class ExperimentSpec:
     Defaults reproduce the two-sine study: a length-100 signal with
     frequency pair (0.1, 0.22) and amplitudes (2, 1), a 256-coefficient DFT
     frame, unit noise, 20 noise realizations, lambda from 0.5 to 3.5 in
-    steps of 0.25, gamma 0.8.
+    steps of 0.25, gamma 0.8.  A study whose solve block (up to 128 cells
+    of ``coef_len`` coefficients) would exceed 1 000 000 coefficients is
+    refused.
     """
 
     signal_len: int = 100
@@ -99,6 +104,10 @@ class ExperimentSpec:
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be non-empty and strictly increasing")
+        if min(self.realizations * len(grid), _SWEEP_BLOCK) * self.coef_len > _MAX_BLOCK_COEFS:
+            raise ValueError(
+                f"a sweep solve block would hold more than {_MAX_BLOCK_COEFS} coefficients"
+            )
         for lam in grid:
             SolveConfig(lam, self.gamma)  # every cell's lambda and gamma must be valid
         _philox_key(self.seed)  # run_sweep draws its noise after any caller's checks

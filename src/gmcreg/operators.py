@@ -28,9 +28,10 @@ class LinearOperator:
     j of the result depends on column j of the input only.  ``forward`` and
     ``adjoint`` check a 1-D vector and apply the block method to it as one
     column.  ``field`` is ``"real"`` or ``"complex"``; for complex operators
-    the adjoint is the conjugate transpose.  ``gram_norm`` is ``||A^H A||_2``;
-    this module's classes give it exactly, and a subclass that does not
-    override it gets the power-iteration estimate ``estimate_gram_norm``.
+    the adjoint is the conjugate transpose.  ``gram_norm`` is ``||A^H A||_2``,
+    which sets every solver's step: each subclass declares it (this module's
+    classes exactly), so no step comes from the power-iteration estimate
+    ``estimate_gram_norm``, which only checks declared values.
     """
 
     def __init__(self, domain_dim: int, codomain_dim: int, field: str):
@@ -65,8 +66,8 @@ class LinearOperator:
         return self.adjoint_multi(y[:, None])[:, 0]
 
     def gram_norm(self) -> float:
-        """``||A^H A||_2``, by ``estimate_gram_norm`` unless the subclass knows it."""
-        return estimate_gram_norm(self)
+        """``||A^H A||_2``, declared by each subclass."""
+        raise NotImplementedError
 
     def forward_multi(self, xs) -> np.ndarray:
         """Apply the operator to each column of an (N, k) array."""

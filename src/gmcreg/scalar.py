@@ -37,7 +37,7 @@ class ScalarPenaltyParams:
 
 @dataclass(frozen=True)
 class FirmParams:
-    """Thresholds of the firm threshold function; requires mu > lam > 0.
+    """Thresholds of the firm threshold function; requires finite mu > lam > 0.
 
     ``lam`` and ``mu`` may be equal-shaped arrays for element-wise
     thresholding.
@@ -51,8 +51,8 @@ class FirmParams:
         mu = np.asarray(self.mu)
         if not np.all(lam > 0):
             raise ValueError("lam must be positive")
-        if not np.all(mu > lam):
-            raise ValueError("mu must be strictly greater than lam")
+        if not np.all((mu > lam) & (mu < np.inf)):
+            raise ValueError("mu must be finite and strictly greater than lam")
 
 
 def _maybe_scalar(out, x):

@@ -46,10 +46,10 @@ matrix-vector product; at ``gamma > 0`` the Anderson steps can amplify
 that rounding difference, so the column can stop at another iteration
 and point within its tolerance.  The block drops its written-out columns
 once they make up a quarter of it.  The step size comes from the
-operator's ``gram_norm``: exact for dense matrices and the frames; only
-other subclasses use a power-iteration estimate.  The penalties module
-runs the generalized-Huber inner problem on the same kernel, and holds
-the objective ``cost_value``.  An iterate that turns NaN raises
+operator's ``gram_norm``, which every operator declares, never from a
+power-iteration estimate.  The penalties module runs the
+generalized-Huber inner problem on the same kernel, and holds the
+objective ``cost_value``.  An iterate that turns NaN raises
 ``FloatingPointError``.
 
 Solvers hold no hidden state: identical inputs and configuration produce

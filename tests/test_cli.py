@@ -189,9 +189,13 @@ class TestDenoise:
             main(["denoise", "--method", "ridge", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_unreadable_input(self, tmp_path):
-        code = main(["denoise", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
-        assert code == 2
+    def test_unreadable_input(self, tmp_path, capsys):
+        malformed = tmp_path / "three_columns.csv"
+        malformed.write_text("1,2,3\n4,5,6\n")
+        for path in (tmp_path / "missing.csv", malformed):
+            assert main(["denoise", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert "cannot read input signal" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_input_csv_round_trip(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"

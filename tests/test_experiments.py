@@ -67,6 +67,7 @@ class TestSignals:
             dict(amplitudes=(2.0, np.nan)),
             dict(frequencies=(0.1, 0.2, 0.3), amplitudes=(1.0, 1.0, 1.0)),
             dict(frequencies=(0.1,), amplitudes=(1.0,)),
+            dict(coef_len=40_000),  # a 128-cell solve block of 5 120 000 coefficients
         ]
         for kwargs in bad_specs:
             with pytest.raises(ValueError):

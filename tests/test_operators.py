@@ -327,7 +327,7 @@ class TestDeclaredGramNorm:
         pen = build_b_from_a(dft, 0.5, 0.8)
         eval_generalized_huber(pen, rng.normal(size=48))
         GmcPenalty(DenseOperator(np.eye(3)))
-        with pytest.raises(AssertionError, match="UndeclaredGram"):
+        with pytest.raises(NotImplementedError):
             GmcPenalty(UndeclaredGram(np.eye(3)))
 
     def test_dense_close_top_singular_values(self):

@@ -182,6 +182,8 @@ class TestFirm:
             FirmParams(lam=1.0, mu=1.0)
         with pytest.raises(ValueError):
             FirmParams(lam=0.0, mu=1.0)
+        with pytest.raises(ValueError):
+            FirmParams(lam=1.0, mu=np.inf)
 
     def test_continuous_and_nondecreasing(self):
         y = np.linspace(-6.0, 6.0, 4001)

@@ -182,6 +182,9 @@ class _NanAdjointIdentity(LinearOperator):
     def adjoint_multi(self, y):
         return np.where(np.abs(y) > 1.5, np.nan, y)
 
+    def gram_norm(self):
+        return 1.0
+
 
 class TestNanIterate:
     """An operator that emits NaN fails loudly instead of ending at x = 0."""
