@@ -6,6 +6,10 @@ of their images, ``adjoint_multi`` maps an (M, k) block back using the
 (conjugate) transpose.  ``forward`` and ``adjoint`` are the k = 1 case on 1-D
 vectors.  Operators are immutable after construction and their application
 is pure, so instances can be shared freely across threads.
+
+The DFT frame also has a private real-signal form on the half spectrum of
+Hermitian coefficient vectors, with weighted inner products; the solvers
+run real-signal DFT-frame solves on it.
 """
 
 from __future__ import annotations
@@ -152,6 +156,51 @@ class DftFrameOperator(LinearOperator):
         ys = _columns(ys, self.codomain_dim)
         return np.fft.fft(ys, n=self.domain_dim, axis=0, norm="ortho")
 
+    def _real_form(self) -> "_HalfSpectrum":
+        """The frame restricted to Hermitian coefficients, for real signals."""
+        return _HalfSpectrum(self.signal_len, self.coef_len)
+
+
+class _HalfSpectrum:
+    """A DFT frame on Hermitian coefficient vectors, by their half spectrum.
+
+    A real signal's adjoint image is Hermitian, ``x[N - n] == conj(x[n])``,
+    and so is every soft threshold and every real combination of such
+    vectors.  This form keeps h = x[0..N//2] only: ``forward_multi`` is the
+    real inverse FFT of the Hermitian x that h stands for, cut to M samples,
+    and ``adjoint_multi`` the real FFT of a real signal zero-padded to N.
+    The map is real-linear (the imaginary parts of h[0], and of h[N/2] when
+    N is even, do not enter) and is the adjoint of its adjoint only under
+    the inner product ``Re sum weights * conj(h) * h'``, which equals the
+    full one on the expanded vectors: interior entries stand for two.  So
+    it is no ``LinearOperator``; the solvers alone use it, and ``expand``
+    gives back the full Hermitian x.
+    """
+
+    field = COMPLEX
+
+    def __init__(self, signal_len: int, coef_len: int):
+        self.codomain_dim = signal_len
+        self.coef_len = coef_len
+        self.domain_dim = coef_len // 2 + 1
+        self.weights = np.full(self.domain_dim, 2.0)
+        self.weights[0] = 1.0
+        if coef_len % 2 == 0:
+            self.weights[-1] = 1.0  # the Nyquist entry is its own mirror
+
+    def forward_multi(self, hs):
+        hs = _columns(hs, self.domain_dim)
+        return np.fft.irfft(hs, n=self.coef_len, axis=0, norm="ortho")[: self.codomain_dim]
+
+    def adjoint_multi(self, ys):
+        ys = _columns(ys, self.codomain_dim)
+        return np.fft.rfft(ys, n=self.coef_len, axis=0, norm="ortho")
+
+    def expand(self, h) -> np.ndarray:
+        """The full Hermitian x of each half spectrum along axis 0 of ``h``."""
+        mirror = h[1 : self.coef_len - self.domain_dim + 1][::-1].conj()
+        return np.concatenate((h, mirror))
+
 
 class StftFrameOperator(LinearOperator):
     """Short-time Fourier synthesis frame with 75% overlapping segments.
@@ -163,6 +212,13 @@ class StftFrameOperator(LinearOperator):
     scaled so that forward(adjoint(y)) == y exactly: frames starting before
     sample 0 are included so the window-squared partition of unity also
     holds at the boundaries.
+
+    Real-signal solves run on the full coefficients, unlike on the DFT
+    frame.  The same half-spectrum form per segment left the GMC solve of
+    the noise-free chirp at lambda 1e-4 unconverged at its 40 000-iteration
+    budget (``delta`` 1.10e-6 against a tolerance of 1e-6), where the full
+    form converges at 39 852: that solve has almost no margin, and the
+    changed rounding tips it over.
     """
 
     def __init__(self, signal_len: int, segment_len: int = 64):

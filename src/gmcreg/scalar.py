@@ -152,7 +152,8 @@ def scalar_minimize(y: float, params: ScalarPenaltyParams) -> float:
 
     Requires ``a > 0`` and the convexity condition ``b**2 <= a**2/lam``;
     the minimizer is then ``firm(y/a; lam/a**2, 1/b**2)``.  At ``b = 0`` the
-    penalty is ``lam*|x|`` and the minimizer is the soft threshold; on the
+    penalty is ``lam*|x|`` and the minimizer is the soft threshold, as it is
+    when ``1/b**2`` overflows (the b -> 0 limit); on the
     convexity boundary ``b**2 == a**2/lam`` the firm threshold degenerates
     to a hard threshold.
     """
@@ -167,9 +168,9 @@ def scalar_minimize(y: float, params: ScalarPenaltyParams) -> float:
     lam_t = params.lam / a2
     t = y / params.a
     b2 = params.b * params.b
-    if b2 == 0.0:
+    mu_t = 1.0 / b2 if b2 else np.inf
+    if mu_t == np.inf:  # b = 0, or a b so small that 1/b**2 overflows: the b -> 0 limit
         return float(soft(t, lam_t))
-    mu_t = 1.0 / b2
     if mu_t > lam_t:
         return float(firm(t, FirmParams(lam=lam_t, mu=mu_t)))
     # boundary case mu == lam: hard threshold

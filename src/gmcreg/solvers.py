@@ -34,6 +34,17 @@ acceleration: v stays zero, so the kernel carries x alone and applies A
 and its adjoint once each per iteration.  For complex operators the
 adjoint is the conjugate transpose and soft thresholding shrinks moduli.
 
+A real signal on a DFT frame runs on the half spectrum.  From x = v = 0
+every iterate is then Hermitian, ``x[N - n] == conj(x[n])``, and so is
+every Anderson point, whose coefficients are real.  The kernel carries
+h = x[0..N/2] only and applies the frame by real FFTs.  The Anderson
+inner products (the squared norms and the Gram rows) weight each entry of
+h by the number of entries of x it stands for, 1 for x[0] (and x[N/2] at
+even N) and 2 for the rest, so they equal the full ones; the sup-norm
+change, the shrink and the combination need no weights.  The answer is
+expanded to the full Hermitian x when the solve returns.  Complex
+signals, dense operators and the STFT frame run on the full coefficients.
+
 One kernel iterates an (N, k) block of independent problems on a single
 operator, each column with its own ``lam``.  ``solve_many`` hands it k
 columns; ``gmc_solve`` and ``ista_solve`` are its k = 1 case, bit-identical
@@ -63,7 +74,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .operators import COMPLEX, LinearOperator
+from .operators import COMPLEX, DftFrameOperator, LinearOperator
 from .scalar import FirmParams, _shrink, firm, soft
 
 # Anderson memory of the gamma > 0 iteration: steps each column extrapolates from.
@@ -219,13 +230,32 @@ def _solve_one(a_op, y, cfg, callback) -> SolveReport:
 
 
 def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
-    """One kernel run for ``cfgs``, which share everything but ``lam``."""
+    """One kernel run for ``cfgs``, which share everything but ``lam``.
+
+    A real block on a DFT frame runs on the half spectrum (see the module
+    docstring); its iterates are expanded to full length for the callback
+    and the reports.
+    """
     cfg = cfgs[0]
     mu = _step_size(cfg, a_op.gram_norm())
     lams = [c.lam for c in cfgs]
+    op, weights, half = a_op, None, None
+    if isinstance(a_op, DftFrameOperator) and not np.iscomplexobj(ys):
+        op = half = a_op._real_form()
+        weights = half.weights
+        if callback is not None:
+            report = callback
+
+            def callback(s):
+                x = half.expand(s.x)
+                v = half.expand(s.v) if cfg.gamma else np.zeros_like(x)
+                report(SaddleState(x=x, v=v, iter=s.iter, delta=s.delta))
+
     g, iterations, delta = _forward_backward(
-        a_op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, callback
+        op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, callback, weights
     )
+    if half is not None:
+        g = [half.expand(b) for b in g]
     x, v = g if len(g) == 2 else (g[0], np.zeros_like(g[0]))
     return tuple(
         SolveReport(
@@ -239,7 +269,7 @@ def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
     )
 
 
-def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None):
+def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, weights=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
     Step ``mu``, ``gamma``, ``tol`` and ``max_iter`` are shared.  The block
@@ -251,6 +281,8 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None):
     or whose budget runs out, is written out and retired; the block drops
     its retired columns once they are a quarter of it.  The callback
     follows column 0 and gets copies; only single solves pass one.
+    ``weights``, one per entry of a column, weight the inner products of
+    the Anderson history (see ``_Anderson``).
     Returns ``(g, iterations, delta)``: the final g, and per column the
     iteration count and the last change.  A NaN change raises
     ``FloatingPointError``.
@@ -266,7 +298,7 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None):
     thr = mu * np.array([lams], dtype=np.float64)
     live = np.arange(k)  # original index of each block column
     active = np.ones(k, dtype=bool)  # block columns not yet written out
-    anderson = _Anderson(g, _MEMORY) if gamma else None
+    anderson = _Anderson(g, _MEMORY, weights) if gamma else None
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(1, max_iter + 1):
@@ -324,10 +356,15 @@ class _Anderson:
     change dF of the residual f = T(z) - z and dG of T(z), flattened to
     real rows (complex entries as (re, im) pairs) in ring slots that all
     columns share, with ``gram`` = dF^T dF, which gains one row per step,
-    and ``rhs`` = dF^T f, which moves by that row.  A cleared slot holds
-    zeros, so it adds nothing to ``gram``, ``rhs`` or the extrapolation.
-    The history and one row buffer, which holds each column's point and
-    then its residual, are allocated once per block.
+    and ``rhs`` = dF^T f, which moves by that row.  ``valid`` marks the
+    slots of each column's current history.  Clearing a history zeroes its
+    ``gram`` and ``rhs`` and unmarks its slots, whose stale steps then stay
+    out of every new Gram row; their Anderson coefficients solve to zero,
+    so they add nothing to the extrapolation either.  The history and one
+    row buffer, which holds each column's point and then its residual, are
+    allocated once per block.  With ``weights``, the Gram rows and squared
+    norms are weighted sums over the entries of a column; the sup-norm
+    change and the extrapolation stay unweighted.
 
     The products with the history are einsums over whole (k, m, width)
     slot stacks, and squared norms sum whole rows: for those shapes a
@@ -335,14 +372,18 @@ class _Anderson:
     the bits of its solo solve.
     """
 
-    def __init__(self, g, m):
+    def __init__(self, g, m, weights=None):
         blocks, n, k = g.shape
         self.dtype, self.shape = g.dtype, (blocks, n)
         width = g[..., 0].size * g.itemsize // 8  # float64s per column
+        # the weight of each float of a row: entries are (blocks, n), each of
+        # itemsize // 8 floats
+        self.w = None if weights is None else np.repeat(np.tile(weights, blocks), g.itemsize // 8)
         self.df = np.zeros((k, m, width))
         self.dg = np.zeros((k, m, width))
         self.gram = np.zeros((k, m, m))
         self.rhs = np.zeros((k, m))
+        self.valid = np.zeros((k, m), dtype=bool)
         self.eye = np.eye(m)
         self.f = np.zeros((k, width))  # rows of the residual at each current point
         self.norm2 = np.zeros(k)  # and their squared 2-norms
@@ -356,7 +397,8 @@ class _Anderson:
 
     def _norms(self, f):
         """Squared 2-norms and sup-norms of the residual rows ``f``."""
-        return (np.add.reduce(f * f, axis=1),
+        f2 = f * f if self.w is None else f * f * self.w
+        return (np.add.reduce(f2, axis=1),
                 np.maximum.reduce(np.abs(f.view(self.dtype)), axis=1, initial=0.0))
 
     def _extrapolate(self, g, active):
@@ -404,12 +446,14 @@ class _Anderson:
             g_next[..., redo] = apply(g[..., redo], redo)
             fc[redo] = g_nextc[redo] - gc[redo]
             norm2[redo], delta[redo] = self._norms(f[redo])
-            self.dg[redo] = self.gram[redo] = self.rhs[redo] = 0.0
-            self.df[np.ix_(redo, np.arange(len(self.eye)) != s)] = 0.0
+            self.gram[redo] = self.rhs[redo] = 0.0
+            self.valid[redo] = False
         if s >= 0:
+            self.valid[:, s] = True
             df = np.subtract(f, self.df[:, s], out=self.df[:, s])
             np.subtract(g_nextc, gc, out=self.dg[:, s].view(self.dtype).reshape(fc.shape))
-            row = np.einsum("kmw,kw->km", self.df, df)
+            row = np.einsum("kmw,kw->km", self.df, df if self.w is None else df * self.w)
+            row = np.where(self.valid, row, 0.0)
             self.gram[:, s, :] = self.gram[:, :, s] = row
             self.rhs += row  # dF^T f moves by dF^T df
             # df^T f from the norms: |f|^2 = |f_old|^2 + 2 df^T f - |df|^2
@@ -420,7 +464,7 @@ class _Anderson:
 
     def compact(self, keep):
         """Move the kept columns to the front, in place, and drop the rest."""
-        names = ("df", "dg", "gram", "rhs", "f", "norm2")
+        names = ("df", "dg", "gram", "rhs", "valid", "f", "norm2")
         arrays = [getattr(self, name) for name in names]
         for dst, src in enumerate(np.flatnonzero(keep)):
             for a in arrays:
@@ -436,7 +480,8 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
 
     Element-wise firm thresholding
     ``firm(aty_n/alpha_n^2; lam/alpha_n^2, lam/(gamma*alpha_n^2))`` for
-    ``0 < gamma < 1``; soft thresholding at ``gamma = 0``; the hard-threshold
+    ``0 < gamma < 1``; soft thresholding at ``gamma = 0``, and where the
+    upper threshold overflows (its mu -> inf limit); the hard-threshold
     limit at ``gamma = 1`` (where the firm thresholds coincide).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
@@ -452,11 +497,15 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
     a2 = alphas * alphas
     t = aty / a2
     thr = lam / a2
-    if gamma == 0.0:
-        return np.asarray(soft(t, thr))
     if gamma == 1.0:
         return np.where(np.abs(t) <= thr, 0.0, t)
-    return np.asarray(firm(t, FirmParams(lam=thr, mu=lam / (gamma * a2))))
+    out = np.asarray(soft(t, thr))
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = lam / (gamma * a2)  # inf at gamma = 0, or when a tiny gamma overflows it
+    firm_part = np.isfinite(mu)
+    if firm_part.any():
+        out[firm_part] = firm(t[firm_part], FirmParams(lam=thr[firm_part], mu=mu[firm_part]))
+    return out
 
 
 def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:

@@ -214,6 +214,77 @@ class TestDftOracle:
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
+class TestHalfSpectrum:
+    """The DFT frame's real-signal form against the full frame.
+
+    The form acts on h = x[0..N//2] of a Hermitian x; ``expand`` rebuilds
+    x, and its adjoint holds under the inner product weighted by
+    ``weights``.
+    """
+
+    SIZES = [(100, 256), (20, 48), (16, 16), (7, 13), (10, 25)]
+
+    @staticmethod
+    def _setup(m, n):
+        op = DftFrameOperator(m, n)
+        half = op._real_form()
+        rng = np.random.default_rng(m + 7 * n)
+        hs = rng.normal(size=(half.domain_dim, 3)) + 1j * rng.normal(size=(half.domain_dim, 3))
+        return op, half, hs, rng.normal(size=(m, 3))
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_shapes_and_weights(self, m, n):
+        op, half, hs, ys = self._setup(m, n)
+        assert half.domain_dim == n // 2 + 1 and half.codomain_dim == m
+        assert not isinstance(half, LinearOperator)
+        want = np.full(half.domain_dim, 2.0)
+        want[0] = 1.0
+        if n % 2 == 0:
+            want[-1] = 1.0
+        assert np.array_equal(half.weights, want)
+        assert half.weights.sum() == n  # each full entry counted once
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_adjoint_is_the_full_adjoint(self, m, n):
+        op, half, hs, ys = self._setup(m, n)
+        got, want = half.expand(half.adjoint_multi(ys)), op.adjoint_multi(ys)
+        assert got.shape == want.shape == (n, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the real FFT's DC (and even-N Nyquist) entries are exactly real
+        assert np.all(got[0].imag == 0.0)
+        if n % 2 == 0:
+            assert np.all(got[n // 2].imag == 0.0)
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_forward_is_the_real_part_of_the_full_forward(self, m, n):
+        # the imaginary parts of h[0] (and of the even-N Nyquist entry) do
+        # not enter either side: the form is real-linear
+        op, half, hs, ys = self._setup(m, n)
+        got, want = half.forward_multi(hs), op.forward_multi(half.expand(hs)).real
+        assert got.shape == want.shape == (m, 3) and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_weighted_adjoint_identity(self, m, n):
+        op, half, hs, ys = self._setup(m, n)
+        lhs = np.sum(half.forward_multi(hs) * ys)
+        rhs = np.real(np.sum(half.weights[:, None] * hs * np.conj(half.adjoint_multi(ys))))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("m,n", SIZES)
+    def test_expand_is_hermitian(self, m, n):
+        op, half, hs, ys = self._setup(m, n)
+        hs[0] = hs[0].real
+        if n % 2 == 0:
+            hs[-1] = hs[-1].real
+        x = half.expand(hs)
+        assert x.shape == (n, 3)
+        assert np.array_equal(x[: half.domain_dim], hs)
+        assert np.array_equal(x[(n - np.arange(n)) % n], np.conj(x))
+        for j in range(3):
+            assert half.expand(hs[:, j]).tobytes() == x[:, j].copy().tobytes()
+
+
 class TestFrames:
     def test_dft_tight(self):
         op = DftFrameOperator(100, 256)

@@ -252,3 +252,10 @@ class TestScalarMinimize:
     def test_b_zero_is_soft(self):
         p = ScalarPenaltyParams(b=0.0, lam=1.0, a=1.0)
         assert scalar_minimize(3.0, p) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("b", [1e-160, -1e-160, 1e-170])
+    def test_b_whose_mu_overflows_is_soft(self, b):
+        # 1/b**2 overflows (or b**2 underflows): the b -> 0 limit
+        p = ScalarPenaltyParams(b=b, lam=1.0, a=1.0)
+        assert scalar_minimize(3.0, p) == 2.0
+        assert scalar_minimize(-0.5, p) == 0.0

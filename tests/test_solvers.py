@@ -27,6 +27,7 @@ from gmcreg import (
 from _oracles import (
     dense_gram_lambda_max,
     dense_saddle_step,
+    dft_frame_entries,
     dense_saddle_steps,
     grid_argmin_scalar_cost,
 )
@@ -464,6 +465,77 @@ class TestSolveMany:
             solve_many(op, np.zeros((op.codomain_dim, 0)), [])
 
 
+class TestHalfSpectrumSolves:
+    """Real signals on a DFT frame run on the half spectrum.
+
+    The answer is held to the full path, which the same signal cast to
+    complex takes, and to exact Hermitian symmetry.
+    """
+
+    TOL = 1e-10
+
+    @staticmethod
+    def _problem(m, n):
+        rng = np.random.default_rng(m * n)
+        return DftFrameOperator(m, n), rng.normal(size=m)
+
+    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
+    def test_ista_matches_full_path(self, m, n):
+        op, y = self._problem(m, n)
+        cfg = SolveConfig(lam=0.3, tol=self.TOL)
+        half, full = gmc_solve(op, y, cfg), gmc_solve(op, y.astype(complex), cfg)
+        assert half.converged and full.converged
+        assert np.max(np.abs(half.x_star - full.x_star)) <= 1e-12
+        assert_v_is_zero(half)
+
+    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
+    def test_gmc_answer_is_a_fixed_point(self, m, n):
+        op, y = self._problem(m, n)
+        rep = gmc_solve(op, y, SolveConfig(lam=0.3, gamma=0.7, tol=self.TOL))
+        assert rep.converged
+        assert fixed_point_change(dft_frame_entries(m, n), y, 0.3, 0.7, rep) <= 3 * self.TOL
+
+    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
+    def test_gmc_iterates_follow_full_path(self, m, n):
+        # the weighted inner products give the Anderson steps of the full
+        # path up to rounding, which the iteration amplifies only slowly
+        op, y = self._problem(m, n)
+        cfg = SolveConfig(lam=0.3, gamma=0.7, tol=self.TOL, max_iter=40)
+        half, full = [], []
+        gmc_solve(op, y, cfg, callback=half.append)
+        gmc_solve(op, y.astype(complex), cfg, callback=full.append)
+        assert len(half) == len(full) == 40
+        for s, t in zip(half, full):
+            assert np.max(np.abs(s.x - t.x)) <= 1e-9 and np.max(np.abs(s.v - t.v)) <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
+    def test_answer_is_hermitian(self, m, n, gamma):
+        op, y = self._problem(m, n)
+        rep = gmc_solve(op, y, SolveConfig(lam=0.3, gamma=gamma, tol=self.TOL))
+        mirror = (n - np.arange(n)) % n
+        for z in (rep.x_star, rep.v_star):
+            assert z.shape == (n,) and z.dtype == np.complex128
+            assert np.array_equal(z[mirror], np.conj(z))  # DC (and Nyquist) included
+            assert z[0].imag == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_callback_sees_full_length_and_changes_no_bit(self, gamma):
+        op, y = self._problem(20, 48)
+        cfg = SolveConfig(lam=0.3, gamma=gamma, tol=1e-8)
+        states = []
+        with_cb = gmc_solve(op, y, cfg, callback=states.append)
+        without = gmc_solve(op, y, cfg)
+        assert len(states) == with_cb.iterations == without.iterations
+        for s in states:
+            assert s.x.shape == s.v.shape == (48,)
+        last = states[-1]
+        for a, b in ((with_cb.x_star, without.x_star), (with_cb.v_star, without.v_star),
+                     (last.x, without.x_star), (last.v, without.v_star)):
+            assert a.tobytes() == b.tobytes()
+        assert last.delta == without.delta == with_cb.delta
+
+
 class TestIsta:
     def test_identity_case(self):
         rep = ista_solve(DenseOperator(np.eye(2)), np.array([3.0, 0.5]), 1.0)
@@ -532,6 +604,12 @@ class TestDiagonalSolve:
                     aty[i] / alphas[i], alphas[i], lam, b, lo=-6.0, hi=6.0, step=1e-4
                 )
                 assert out[i] == pytest.approx(ref, abs=1e-3)
+
+    def test_overflowing_upper_threshold_is_soft(self):
+        # lam/(gamma*alpha^2) overflows to inf: the mu -> inf limit, soft thresholding
+        with np.errstate(all="raise"):
+            out = diagonal_solve(np.ones(2), np.array([0.5, 2.0]), 1.0, 5e-324)
+        assert np.array_equal(out, [0.0, 1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
