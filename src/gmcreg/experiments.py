@@ -35,7 +35,7 @@ _DENOISE_MAX_ITER = 40_000
 
 # run_sweep solves at most this many (lambda, realization) cells as one block, and
 # ExperimentSpec refuses a study whose block would hold more coefficients than
-# _MAX_BLOCK_COEFS: the GMC kernel keeps an Anderson history of every coefficient
+# _MAX_BLOCK_COEFS: the solver kernel keeps an Anderson history of every coefficient
 _SWEEP_BLOCK = 128
 _MAX_BLOCK_COEFS = 1_000_000
 
@@ -295,11 +295,11 @@ def denoise_frame(
 ) -> DenoiseResult:
     """Estimate frame coefficients of a noisy signal and reconstruct.
 
-    Every method runs one ``gmc_solve``: ``"gmc"`` at ``gamma``, ``"l1"`` at
-    ``gamma = 0``, which is ISTA bit for bit, and ``"l1_debiased"`` as
-    ``"l1"`` then unregularized least squares on the support.  The
-    reconstruction is the frame synthesis of the coefficients, real when
-    the input signal is real.  Non-convergence is flagged, not raised.
+    Every method runs one ``gmc_solve``: ``"gmc"`` at ``gamma``, ``"l1"``
+    at ``gamma = 0``, which is ``ista_solve`` bit for bit, and
+    ``"l1_debiased"`` as ``"l1"`` then unregularized least squares on the
+    support.  The reconstruction is the frame synthesis of the
+    coefficients, real when the input signal is real.  Non-convergence is flagged, not raised.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -16,7 +16,8 @@ B^T B is dominated by the Gram matrix of the data operator (see
 
 There is no closed form for the inner minimum.  It is the l1
 least-squares problem on B with data ``B x`` and weight 1, so it runs on
-the solvers' forward-backward kernel (ISTA at step ``1/||B^T B||_2``).
+the solvers' forward-backward kernel (accelerated ISTA at step
+``1/||B^T B||_2``).
 ``cost_value`` adds the data fit to the penalty to give the objective the
 solvers minimize.  Penalty objects are immutable and evaluation is pure, so
 they can be shared across threads.
@@ -114,10 +115,12 @@ def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
     """min_v ||v||_1 + 0.5*||B(x - v)||^2 for every column x of ``xs``.
 
-    ISTA on B with data ``B x`` and weight 1, at step 1/||B^T B||_2 so the
-    objective decreases monotonically; each column stops at its own
-    tolerance.  Returns (v, values, iterations, residual), the last two the
-    largest over the columns.  The ``ConvergenceError`` payload holds one
+    The solvers' accelerated ISTA on B with data ``B x`` and weight 1, at
+    step 1/||B^T B||_2.  Its safeguard keeps an extrapolated point only
+    where the residual norm shrinks, so the objective need not decrease
+    monotonically; each column stops at its own tolerance.  Returns (v,
+    values, iterations, residual), the last two the largest over the
+    columns.  The ``ConvergenceError`` payload holds one
     column per query point, or the 1-D vector and a float when ``single``.
     """
     if pen.gram_norm == 0.0:

@@ -13,11 +13,19 @@ applications of A and two of its adjoint plus soft thresholding:
     T(p, q) = (soft(w, mu*lam), soft(u, mu*lam))
 
 with change ``delta = max(|x' - p|_inf, |v' - q|_inf)`` for ``(x', v') =
-T(p, q)``.  At ``gamma > 0`` the kernel runs safeguarded type-II Anderson
-acceleration of T (Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang,
-O'Donoghue & Boyd, SIAM J. Optim. 2020).  Each column has a current point
-z with residual f = T(z) - z, and remembers its last m = 10 steps between
-points: the changes dF of f and dG of T(z).  The next point to try is
+T(p, q)``.  At ``gamma = 0`` v stays zero and T is the iterative shrinkage /
+thresholding (ISTA) step of the l1-regularized problem, so the kernel
+carries x alone and applies A and its adjoint once each per step.  For
+complex operators the adjoint is the conjugate transpose and soft
+thresholding shrinks moduli.
+
+At every ``gamma`` the kernel runs safeguarded type-II Anderson
+acceleration of T, which applies to any nonexpansive fixed-point map
+(Walker & Ni, SIAM J. Numer. Anal. 2011; Zhang, O'Donoghue & Boyd, SIAM J.
+Optim. 2020).  Each column has a current point z with residual
+f = T(z) - z, and remembers its last m = 10 steps between points (fewer
+when a column holds fewer than ten floats): the changes dF of f and dG of
+T(z).  The next point to try is
 
     z_aa = T(z) - dG c,   (dF^T dF + 1e-10 * trace(dF^T dF) * I) c = dF^T f
 
@@ -26,13 +34,8 @@ column steps to T(z) in the same iteration, an extra application of T,
 and clears its history.  The first step is the plain step from 0.  A solve
 returns T(z) of its last point, with ``delta = ||T(z) - z||_inf`` its
 change.  On the reference DFT-frame sweep this takes 0.12 times the
-iterations of plain forward-backward, plus 10 % extra applications of T.
-
-At ``gamma = 0`` the kernel runs the classic iterative shrinkage /
-thresholding algorithm (ISTA) for the l1-regularized problem, without
-acceleration: v stays zero, so the kernel carries x alone and applies A
-and its adjoint once each per iteration.  For complex operators the
-adjoint is the conjugate transpose and soft thresholding shrinks moduli.
+iterations of plain forward-backward for GMC, plus 10 % extra applications
+of T, and 0.19 times those of plain ISTA for l1.
 
 A real signal on a DFT frame runs on the half spectrum.  From x = v = 0
 every iterate is then Hermitian, ``x[N - n] == conj(x[n])``, and so is
@@ -53,15 +56,14 @@ out of budget.  On the FFT-applied frames its iterates equal the solo
 solve's bit for bit, Anderson steps included: every inner product of the
 history sums one column in the same order at any k.  On a dense operator
 a block applies A as a matrix-matrix product and a solo solve as a
-matrix-vector product; at ``gamma > 0`` the Anderson steps can amplify
-that rounding difference, so the column can stop at another iteration
-and point within its tolerance.  The block drops its written-out columns
-once they make up a quarter of it.  The step size comes from the
-operator's ``gram_norm``, which every operator declares, never from a
-power-iteration estimate.  The penalties module runs the
-generalized-Huber inner problem on the same kernel, and holds the
-objective ``cost_value``.  An iterate that turns NaN raises
-``FloatingPointError``.
+matrix-vector product, and the Anderson steps can amplify that rounding
+difference, so the column can stop at another iteration and point within
+its tolerance.  The block drops its written-out columns once they make up
+a quarter of it.  The step size comes from the operator's ``gram_norm``,
+which every operator declares, never from a power-iteration estimate.
+The penalties module runs the generalized-Huber inner problem on the same
+kernel, and holds the objective ``cost_value``.  An iterate that turns NaN
+raises ``FloatingPointError``.
 
 Solvers hold no hidden state: identical inputs and configuration produce
 bit-identical iterate sequences.
@@ -77,9 +79,9 @@ import numpy as np
 from .operators import COMPLEX, DftFrameOperator, LinearOperator
 from .scalar import FirmParams, _shrink, firm, soft
 
-# Anderson memory of the gamma > 0 iteration: steps each column extrapolates from.
-# On the reference sweep 10 steps take 0.58 times the column-iterations of 5, each
-# about 1.3 times as costly
+# Anderson memory: steps each column extrapolates from.  On the reference sweep
+# 10 steps take 0.58 times the GMC column-iterations of 5, each about 1.3 times
+# as costly
 _MEMORY = 10
 
 # ridge of the Anderson normal equations, relative to their trace
@@ -180,13 +182,14 @@ def ista_solve(
     cfg: Optional[SolveConfig] = None,
     callback: Optional[Callable[[SaddleState], None]] = None,
 ) -> SolveReport:
-    """Classic ISTA for ``0.5*||y - A x||^2 + lam*||x||_1``.
+    """Accelerated ISTA for ``0.5*||y - A x||^2 + lam*||x||_1``.
 
-    ``x' = soft(x - mu*A^T(A x - y), mu*lam)`` with ``mu = 1.9/||A^T A||_2``
-    unless overridden via ``cfg.mu``.  This is ``gmc_solve`` at
-    ``gamma = 0`` by construction: both run the same kernel, which at
-    ``gamma = 0`` applies A and its adjoint once each per iteration and
-    holds v at zero.  ``lam`` takes precedence over ``cfg.lam``;
+    The safeguarded Anderson iteration (see the module docstring) of the
+    ISTA step ``T(x) = soft(x - mu*A^T(A x - y), mu*lam)`` with
+    ``mu = 1.9/||A^T A||_2`` unless overridden via ``cfg.mu``.  This is
+    ``gmc_solve`` at ``gamma = 0`` by construction: both run the same
+    kernel, which at ``gamma = 0`` applies A and its adjoint once each per
+    step and holds v at zero.  ``lam`` takes precedence over ``cfg.lam``;
     ``cfg.gamma`` is ignored.
     """
     cfg = SolveConfig(lam=lam) if cfg is None else replace(cfg, lam=lam, gamma=0.0)
@@ -202,10 +205,9 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     iteration applies A and its adjoint to all live columns at once.  A
     column stops at its own tolerance or budget.  On the DFT and STFT
     frames its iterates and iteration count equal the solo solve's bit for
-    bit.  On a dense operator they match up to the rounding of a
-    matrix-matrix against a matrix-vector product at ``gamma = 0``; at
-    ``gamma > 0`` the Anderson steps can amplify that rounding up to the
-    tolerance scale (see the module docstring).
+    bit.  On a dense operator a matrix-matrix product rounds differently
+    from a matrix-vector product, and the Anderson steps can amplify that
+    up to the tolerance scale (see the module docstring).
     """
     ys = np.asarray(ys)
     cfgs = tuple(cfgs)
@@ -275,12 +277,11 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
     Step ``mu``, ``gamma``, ``tol`` and ``max_iter`` are shared.  The block
     g holds T of each column's current point: the pair (x, v), shape
     (2, N, k), at ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.
-    Each iteration is one accepted step per column: the plain step from g
-    at ``gamma = 0``, and ``_Anderson``'s safeguarded step at ``gamma > 0``
-    (see the module docstring).  A column whose change drops to ``tol``,
-    or whose budget runs out, is written out and retired; the block drops
-    its retired columns once they are a quarter of it.  The callback
-    follows column 0 and gets copies; only single solves pass one.
+    Each iteration is one accepted step per column, ``_Anderson``'s
+    safeguarded step (see the module docstring).  A column whose change
+    drops to ``tol``, or whose budget runs out, is written out and retired;
+    the block drops its retired columns once they are a quarter of it.  The
+    callback follows column 0 and gets copies; only single solves pass one.
     ``weights``, one per entry of a column, weight the inner products of
     the Anderson history (see ``_Anderson``).
     Returns ``(g, iterations, delta)``: the final g, and per column the
@@ -292,25 +293,21 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
     k = ys.shape[1]
     dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
     g = np.zeros((1 if gamma == 0.0 else 2, a_op.domain_dim, k), dtype=dtype)
-    outs = [None] * k  # each column's final g, copied when it is written out
+    out = np.zeros_like(g)  # each column's final g, written when it retires
     iterations = np.zeros(k, dtype=np.int64)
     deltas = np.zeros(k)
     thr = mu * np.array([lams], dtype=np.float64)
     live = np.arange(k)  # original index of each block column
     active = np.ones(k, dtype=bool)  # block columns not yet written out
-    anderson = _Anderson(g, _MEMORY, weights) if gamma else None
+    anderson = _Anderson(g, _MEMORY, weights)
+
+    def apply(z, cols):
+        return _saddle_step(a_op, z, ys[:, cols], mu, gamma, thr[:, cols])
+
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(1, max_iter + 1):
-            if anderson is None:
-                g_next = _saddle_step(a_op, g, ys, mu, gamma, thr)
-                delta = np.max(np.abs(g_next - g), axis=(0, 1), initial=0.0)
-            else:
-                def apply(z, cols):
-                    return _saddle_step(a_op, z, ys[:, cols], mu, gamma, thr[:, cols])
-
-                g_next, delta = anderson.step(g, active, apply)
-            g = g_next
+            g, delta = anderson.step(g, active, apply)
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
@@ -320,8 +317,7 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
             if not done.any():
                 continue
             cols = live[done]
-            for j, col in zip(cols, np.flatnonzero(done)):
-                outs[j] = g[..., col].copy()
+            out[..., cols] = g[..., done]
             iterations[cols], deltas[cols] = i, delta[done]
             active &= ~done
             n_live = np.count_nonzero(active)
@@ -329,11 +325,9 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
                 break
             if n_live <= _COMPACT_AT * active.size:
                 g, ys, thr, live = (a[..., active] for a in (g, ys, thr, live))
-                if anderson is not None:
-                    anderson.compact(active)
+                anderson.compact(active)
                 active = active[active]
-    anderson = None  # free the history before the output block is built
-    return np.stack(outs, axis=-1), iterations, deltas
+    return out, iterations, deltas
 
 
 def _saddle_step(a_op, z, ys, mu, gamma, thr):
@@ -350,19 +344,20 @@ def _saddle_step(a_op, z, ys, mu, gamma, thr):
 
 
 class _Anderson:
-    """Safeguarded type-II Anderson acceleration of T on a (2, N, k) block.
+    """Safeguarded type-II Anderson acceleration of T on a (1 or 2, N, k) block.
 
-    Each column keeps its last ``m`` steps between accepted points z: the
-    change dF of the residual f = T(z) - z and dG of T(z), flattened to
-    real rows (complex entries as (re, im) pairs) in ring slots that all
-    columns share, with ``gram`` = dF^T dF, which gains one row per step,
-    and ``rhs`` = dF^T f, which moves by that row.  ``valid`` marks the
-    slots of each column's current history.  Clearing a history zeroes its
-    ``gram`` and ``rhs`` and unmarks its slots, whose stale steps then stay
-    out of every new Gram row; their Anderson coefficients solve to zero,
-    so they add nothing to the extrapolation either.  The history and one
-    row buffer, which holds each column's point and then its residual, are
-    allocated once per block.  With ``weights``, the Gram rows and squared
+    Each column keeps its last ``m`` steps between accepted points z, or as
+    many as a row has floats if that is fewer: the change dF of the
+    residual f = T(z) - z and dG of T(z), flattened to real rows (complex
+    entries as (re, im) pairs) in ring slots that all columns share, with
+    ``gram`` = dF^T dF, which gains one row per step, and ``rhs`` = dF^T f,
+    which moves by that row.  ``valid`` marks the slots of each column's
+    current history.  Clearing a history zeroes its ``gram`` and ``rhs``
+    and unmarks its slots, whose stale steps then stay out of every new
+    Gram row; their Anderson coefficients solve to zero, so they add
+    nothing to the extrapolation either.  The history and one row buffer,
+    which holds each column's point and then its residual, are allocated
+    once per block.  With ``weights``, the Gram rows and squared
     norms are weighted sums over the entries of a column; the sup-norm
     change and the extrapolation stay unweighted.
 
@@ -376,6 +371,7 @@ class _Anderson:
         blocks, n, k = g.shape
         self.dtype, self.shape = g.dtype, (blocks, n)
         width = g[..., 0].size * g.itemsize // 8  # float64s per column
+        m = min(m, width)  # more changes than a row has floats are linearly dependent
         # the weight of each float of a row: entries are (blocks, n), each of
         # itemsize // 8 floats
         self.w = None if weights is None else np.repeat(np.tile(weights, blocks), g.itemsize // 8)
@@ -464,13 +460,10 @@ class _Anderson:
 
     def compact(self, keep):
         """Move the kept columns to the front, in place, and drop the rest."""
-        names = ("df", "dg", "gram", "rhs", "valid", "f", "norm2")
-        arrays = [getattr(self, name) for name in names]
-        for dst, src in enumerate(np.flatnonzero(keep)):
-            for a in arrays:
-                a[dst] = a[src]
         n = np.count_nonzero(keep)
-        for name, a in zip(names, arrays):
+        for name in ("df", "dg", "gram", "rhs", "valid", "f", "norm2"):
+            a = getattr(self, name)
+            a[:n] = a[keep]
             setattr(self, name, a[:n])
         self._view_rows()
 

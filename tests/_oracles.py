@@ -136,21 +136,23 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
     """Endless ``(x, v, delta)`` of the two-block saddle recurrence.
 
     Written out for one vector, with dense products and a fixed step
-    ``mu``; one step T is ``dense_saddle_step``.  Each step yields
+    ``mu``; one step T is ``dense_saddle_step``.  At ``gamma = 0`` a point
+    is x alone, v stays zero and is yielded as zeros.  Each step yields
     T(z) of the point z it was taken from, with ``delta = max(|x' - p|_inf,
     |v' - q|_inf)``.  The first point is z = 0.  With ``memory = 0`` every
     next point is T(z): the plain recurrence.
 
     Otherwise the next point is the type-II Anderson point of the last
-    ``memory`` steps, in the kernel's formulas.  Points are real rows: x
-    then v, complex entries as (re, im).  With f = T(z) - z, a step from z
-    to z' records ``df = f' - f`` and ``dg = T(z') - T(z)`` in ring slot
-    ``s``, sets row and column s of ``H = df^T df`` to that slot's inner
-    products r, and moves ``b = df^T f`` to ``b + r``, with ``b_s = df_s^T
-    f' = (|f'|^2 - |f|^2 + r_s) / 2``.  The inner products over all
-    ``memory`` slots and the combination are the kernel's einsums; a
-    squared norm is ``np.sum`` of the elementwise square.  When H has a positive trace the
-    next point to try is ``T(z) - sum_s c_s dg_s`` with
+    ``min(memory, width)`` steps, in the kernel's formulas, where width is
+    the number of floats in a row.  Points are real rows: x then v (x alone
+    at ``gamma = 0``), complex entries as (re, im).  With f = T(z) - z, a
+    step from z to z' records ``df = f' - f`` and ``dg = T(z') - T(z)`` in
+    ring slot ``s``, sets row and column s of ``H = df^T df`` to that
+    slot's inner products r, and moves ``b = df^T f`` to ``b + r``, with
+    ``b_s = df_s^T f' = (|f'|^2 - |f|^2 + r_s) / 2``.  The inner products
+    over all slots and the combination are the kernel's einsums; a squared
+    norm is ``np.sum`` of the elementwise square.  When H has a positive
+    trace the next point to try is ``T(z) - sum_s c_s dg_s`` with
     ``(H + 1e-10 * trace(H) * I) c = b``, kept when its residual has a
     smaller 2-norm than f.  Otherwise the next point is T(z), and the
     history is zeroed before that step is recorded.  With a zero trace
@@ -158,9 +160,11 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
     """
     a = np.asarray(entries)
     y = np.asarray(y)
+    blocks = 2 if gamma else 1
 
     def step(z):
-        return dense_saddle_step(a, y, lam, gamma, mu, z[0], z[1])
+        # at gamma = 0, q = p gives q - p = 0 exactly: x' is the ISTA step
+        return dense_saddle_step(a, y, lam, gamma, mu, z[0], z[-1])[:blocks]
 
     def rows(z):
         return z.reshape(-1).view(np.float64)
@@ -169,8 +173,9 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
         f = rows(g1 - z)
         return f, np.sum(f * f), float(np.max(np.abs(g1 - z)))
 
-    g = np.zeros((2, a.shape[1]), dtype=np.result_type(a, y, np.float64))
+    g = np.zeros((blocks, a.shape[1]), dtype=np.result_type(a, y, np.float64))
     width = rows(g).size
+    memory = min(memory, width)
     df, dg = np.zeros((memory, width)), np.zeros((memory, width))
     gram, rhs = np.zeros((memory, memory)), np.zeros(memory)
     f, norm2, slot = None, 0.0, -1
@@ -199,7 +204,7 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
             rhs[slot] = 0.5 * (norm2_1 - norm2 + row[slot])
         slot = (slot + 1) % memory if memory else -1
         g, f, norm2 = g1, f1, norm2_1
-        yield g[0], g[1], delta
+        yield g[0], (g[1] if gamma else np.zeros_like(g[0])), delta
 
 
 def stft_synthesis(op, x):

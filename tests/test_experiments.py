@@ -273,7 +273,7 @@ class TestStftDemo:
     def test_clean_chirp_small_lambda(self):
         spec = StftDemoSpec(noise_sigma=0.0)
         rep = run_stft_demo(spec, lam_l1=1e-4, lam_gmc=1e-4)
-        assert rep.converged_gmc
+        assert rep.converged_l1 and rep.converged_gmc
         assert rep.rmse_l1 <= 1e-3
         assert rep.rmse_gmc <= 1e-3
 

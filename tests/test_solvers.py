@@ -208,10 +208,10 @@ class TestNanIterate:
 
 
 class TestDenseOracle:
-    """``gmc_solve`` against the dense two-block recurrence, bit for bit.
+    """``gmc_solve`` against the dense saddle recurrence, bit for bit.
 
-    At ``gamma = 0`` that is plain ISTA; at ``gamma > 0`` it is the
-    safeguarded Anderson recurrence with the kernel's memory ``_MEMORY``.
+    At every ``gamma`` that is the safeguarded Anderson recurrence with the
+    kernel's memory ``_MEMORY``; at ``gamma = 0`` it carries x alone.
     """
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -228,8 +228,7 @@ class TestDenseOracle:
         cfg = SolveConfig(lam=lam, gamma=gamma, mu=mu, tol=1e-300, max_iter=150)
         states = []
         gmc_solve(DenseOperator(entries), y, cfg, callback=states.append)
-        memory = gmcreg.solvers._MEMORY if gamma > 0 else 0
-        expected = dense_saddle_steps(entries, y, lam, gamma, mu, memory)
+        expected = dense_saddle_steps(entries, y, lam, gamma, mu, gmcreg.solvers._MEMORY)
         assert len(states) == 150 or states[-1].delta == 0.0
         for s, (x, v, delta) in zip(states, expected):
             assert s.x.tobytes() == x.tobytes()
@@ -242,12 +241,13 @@ class TestInertialStability:
 
     TOL = 1e-10
 
-    def test_peak_and_iterations_against_plain(self):
+    @pytest.mark.parametrize("l1", [False, True], ids=["gmc", "l1"])
+    def test_peak_and_iterations_against_plain(self, l1):
         # Random dense instances from the small and the criterion-5 families,
-        # real and complex, solved to 1e-10 at the same step.  No instance
-        # may take more than 1.1 times the plain iterations, or peak above
-        # twice the plain iterates; all of them together take at most 0.7
-        # times the plain iterations.
+        # real and complex, solved to 1e-10 at the same step, at their drawn
+        # gamma or, for l1, at gamma = 0.  No instance may take more than 1.1
+        # times the plain iterations, or peak above twice the plain iterates;
+        # all of them together take at most 0.7 times the plain iterations.
         rng = np.random.default_rng(23)
         ours, plains = [], []
         for trial in range(32):
@@ -261,6 +261,8 @@ class TestInertialStability:
                 entries = entries + 1j * rng.normal(size=(m, n)) / np.sqrt(m)
                 y = y + 1j * rng.normal(size=m)
             lam, gamma = rng.uniform(0.2, 0.8), rng.uniform(0.3, 0.9)
+            if l1:
+                gamma = 0.0
             mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
             peak = [0.0]
 
@@ -473,34 +475,31 @@ class TestHalfSpectrumSolves:
     """
 
     TOL = 1e-10
+    # (m, n, gamma); the gamma = 0 (l1) cases are marked in their ids
+    CASES = [pytest.param(m, n, gamma, id=f"{m}-{n}" + ("-l1" if gamma == 0.0 else ""))
+             for gamma in (0.7, 0.0) for m, n in ((20, 48), (13, 31))]
 
     @staticmethod
     def _problem(m, n):
         rng = np.random.default_rng(m * n)
         return DftFrameOperator(m, n), rng.normal(size=m)
 
-    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
-    def test_ista_matches_full_path(self, m, n):
+    @pytest.mark.parametrize("m,n,gamma", CASES)
+    def test_gmc_answer_is_a_fixed_point(self, m, n, gamma):
         op, y = self._problem(m, n)
-        cfg = SolveConfig(lam=0.3, tol=self.TOL)
-        half, full = gmc_solve(op, y, cfg), gmc_solve(op, y.astype(complex), cfg)
-        assert half.converged and full.converged
-        assert np.max(np.abs(half.x_star - full.x_star)) <= 1e-12
-        assert_v_is_zero(half)
-
-    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
-    def test_gmc_answer_is_a_fixed_point(self, m, n):
-        op, y = self._problem(m, n)
-        rep = gmc_solve(op, y, SolveConfig(lam=0.3, gamma=0.7, tol=self.TOL))
+        rep = gmc_solve(op, y, SolveConfig(lam=0.3, gamma=gamma, tol=self.TOL))
         assert rep.converged
-        assert fixed_point_change(dft_frame_entries(m, n), y, 0.3, 0.7, rep) <= 3 * self.TOL
+        assert fixed_point_change(dft_frame_entries(m, n), y, 0.3, gamma, rep) <= 3 * self.TOL
+        if gamma == 0.0:
+            assert_v_is_zero(rep)
 
-    @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
-    def test_gmc_iterates_follow_full_path(self, m, n):
+    @pytest.mark.parametrize("m,n,gamma", CASES)
+    def test_gmc_iterates_follow_full_path(self, m, n, gamma):
         # the weighted inner products give the Anderson steps of the full
-        # path up to rounding, which the iteration amplifies only slowly
+        # path up to rounding, which the iteration amplifies only slowly;
+        # the tolerance lets both paths run all 40 steps
         op, y = self._problem(m, n)
-        cfg = SolveConfig(lam=0.3, gamma=0.7, tol=self.TOL, max_iter=40)
+        cfg = SolveConfig(lam=0.3, gamma=gamma, tol=1e-300, max_iter=40)
         half, full = [], []
         gmc_solve(op, y, cfg, callback=half.append)
         gmc_solve(op, y.astype(complex), cfg, callback=full.append)
