@@ -179,6 +179,8 @@ class StftDemoSpec:
                 raise ValueError("chirp frequencies must lie in (0, 0.5)")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be non-negative and finite")
+        if self.signal_len < 2:
+            raise ValueError("signal_len must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -376,15 +378,12 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
 
 def aggregate(records: Sequence[SweepRecord]) -> list[SweepAggregate]:
     """Mean/std (population) of RMSE per (method, lambda), in canonical order."""
-    keys = sorted(
-        {(rec.method, rec.lam) for rec in records},
-        key=lambda k: (METHODS.index(k[0]), k[1]),
-    )
+    groups: dict[tuple[str, float], list[float]] = {}
+    for rec in records:
+        groups.setdefault((rec.method, rec.lam), []).append(rec.rmse)
     out = []
-    for method, lam in keys:
-        vals = np.array(
-            [rec.rmse for rec in records if rec.method == method and rec.lam == lam]
-        )
+    for method, lam in sorted(groups, key=lambda k: (METHODS.index(k[0]), k[1])):
+        vals = np.array(groups[method, lam])
         out.append(SweepAggregate(method, lam, float(vals.mean()), float(vals.std())))
     return out
 

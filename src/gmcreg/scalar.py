@@ -98,12 +98,15 @@ def scaled_huber(x, b):
     """Scaled Huber function ``huber(b**2 * x) / b**2``; identically 0 at b = 0.
 
     Equals ``0.5 * b**2 * x**2`` on ``|x| <= 1/b**2`` and ``|x| - 0.5/b**2``
-    beyond.  Only ``b**2`` enters, so negative ``b`` is fine.
+    beyond.  Only ``b**2`` enters, so negative ``b`` is fine.  Where
+    ``b**2`` overflows it is the b -> inf limit ``|x|``.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     b2 = float(b) * float(b)
     if b2 == 0.0:
         out = np.zeros_like(x_arr)
+    elif b2 == np.inf:
+        out = np.abs(x_arr)
     else:
         out = np.where(
             np.abs(x_arr) <= 1.0 / b2,
@@ -117,7 +120,8 @@ def scaled_mc(x, b):
     """Scaled MC penalty: ``|x| - scaled_huber(x, b)``.
 
     Rises like ``|x| - 0.5*b**2*x**2`` near zero and saturates at
-    ``0.5/b**2``; reduces to ``|x|`` when b = 0.
+    ``0.5/b**2``; reduces to ``|x|`` when b = 0, and to 0 where ``b**2``
+    overflows.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     out = np.abs(x_arr) - scaled_huber(x_arr, b)

@@ -58,9 +58,10 @@ history sums one column in the same order at any k.  On a dense operator
 a block applies A as a matrix-matrix product and a solo solve as a
 matrix-vector product, and the Anderson steps can amplify that rounding
 difference, so the column can stop at another iteration and point within
-its tolerance.  The block drops its written-out columns once they make up
-a quarter of it.  The step size comes from the operator's ``gram_norm``,
-which every operator declares, never from a power-iteration estimate.
+its tolerance.  A written-out column leaves the block in the same
+iteration, so it costs no further T or history work.  The step size comes
+from the operator's ``gram_norm``, which every operator declares, never
+from a power-iteration estimate.
 The penalties module runs the generalized-Huber inner problem on the same
 kernel, and holds the objective ``cost_value``.  An iterate that turns NaN
 raises ``FloatingPointError``.
@@ -86,9 +87,6 @@ _MEMORY = 10
 
 # ridge of the Anderson normal equations, relative to their trace
 _RIDGE = 1e-10
-
-# the block drops its retired columns once they make up a quarter of it
-_COMPACT_AT = 0.75
 
 
 @dataclass(frozen=True)
@@ -235,30 +233,32 @@ def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
     """One kernel run for ``cfgs``, which share everything but ``lam``.
 
     A real block on a DFT frame runs on the half spectrum (see the module
-    docstring); its iterates are expanded to full length for the callback
-    and the reports.
+    docstring).  ``full`` turns a kernel block into full-length (x, v), v
+    zero at ``gamma = 0``, for the reports and the callback states alike.
     """
     cfg = cfgs[0]
     mu = _step_size(cfg, a_op.gram_norm())
     lams = [c.lam for c in cfgs]
-    op, weights, half = a_op, None, None
+    op, weights, expand = a_op, None, np.asarray
     if isinstance(a_op, DftFrameOperator) and not np.iscomplexobj(ys):
-        op = half = a_op._real_form()
-        weights = half.weights
-        if callback is not None:
-            report = callback
+        op = a_op._real_form()
+        weights, expand = op.weights, op.expand
 
-            def callback(s):
-                x = half.expand(s.x)
-                v = half.expand(s.v) if cfg.gamma else np.zeros_like(x)
-                report(SaddleState(x=x, v=v, iter=s.iter, delta=s.delta))
+    def full(g):
+        x = expand(g[0])
+        return x, (expand(g[1]) if len(g) == 2 else np.zeros_like(x))
+
+    track = None
+    if callback is not None:
+
+        def track(i, g, delta):
+            x, v = full(g)
+            callback(SaddleState(x=x.copy(), v=v.copy(), iter=i, delta=float(delta)))
 
     g, iterations, delta = _forward_backward(
-        op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, callback, weights
+        op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, track, weights
     )
-    if half is not None:
-        g = [half.expand(b) for b in g]
-    x, v = g if len(g) == 2 else (g[0], np.zeros_like(g[0]))
+    x, v = full(g)
     return tuple(
         SolveReport(
             x_star=x[:, j].copy(),
@@ -279,11 +279,11 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
     (2, N, k), at ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.
     Each iteration is one accepted step per column, ``_Anderson``'s
     safeguarded step (see the module docstring).  A column whose change
-    drops to ``tol``, or whose budget runs out, is written out and retired;
-    the block drops its retired columns once they are a quarter of it.  The
-    callback follows column 0 and gets copies; only single solves pass one.
-    ``weights``, one per entry of a column, weight the inner products of
-    the Anderson history (see ``_Anderson``).
+    drops to ``tol``, or whose budget runs out, is written out and leaves
+    the block in the same iteration.  ``callback(i, g[..., 0], delta[0])``
+    follows column 0, with a view into the block; only single solves pass
+    one.  ``weights``, one per entry of a column, weight the inner products
+    of the Anderson history (see ``_Anderson``).
     Returns ``(g, iterations, delta)``: the final g, and per column the
     iteration count and the last change.  A NaN change raises
     ``FloatingPointError``.
@@ -298,7 +298,6 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
     deltas = np.zeros(k)
     thr = mu * np.array([lams], dtype=np.float64)
     live = np.arange(k)  # original index of each block column
-    active = np.ones(k, dtype=bool)  # block columns not yet written out
     anderson = _Anderson(g, _MEMORY, weights)
 
     def apply(z, cols):
@@ -307,26 +306,22 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(1, max_iter + 1):
-            g, delta = anderson.step(g, active, apply)
+            g, delta = anderson.step(g, apply)
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
-                v = g[1, :, 0].copy() if gamma else np.zeros_like(g[0, :, 0])
-                callback(SaddleState(x=g[0, :, 0].copy(), v=v, iter=i, delta=float(delta[0])))
-            done = active & ((delta <= tol) | (i == max_iter))
+                callback(i, g[..., 0], delta[0])
+            done = (delta <= tol) | (i == max_iter)
             if not done.any():
                 continue
             cols = live[done]
             out[..., cols] = g[..., done]
             iterations[cols], deltas[cols] = i, delta[done]
-            active &= ~done
-            n_live = np.count_nonzero(active)
-            if n_live == 0:
+            if done.all():
                 break
-            if n_live <= _COMPACT_AT * active.size:
-                g, ys, thr, live = (a[..., active] for a in (g, ys, thr, live))
-                anderson.compact(active)
-                active = active[active]
+            keep = ~done
+            g, ys, thr, live = (a[..., keep] for a in (g, ys, thr, live))
+            anderson.compact(keep)
     return out, iterations, deltas
 
 
@@ -397,17 +392,16 @@ class _Anderson:
         return (np.add.reduce(f2, axis=1),
                 np.maximum.reduce(np.abs(f.view(self.dtype)), axis=1, initial=0.0))
 
-    def _extrapolate(self, g, active):
+    def _extrapolate(self, g):
         """Write each column's next point to try into the row buffer.
 
         The coefficients c solve ``(gram + ridge*I) c = rhs`` with a ridge of
         ``_RIDGE * trace(gram)``; the point is ``g - dG c``.  Columns with
-        no recorded change of f, and columns already written out (not
-        ``active``), try ``g`` itself.  Returns where the point is an
-        Anderson point.
+        no recorded change of f try ``g`` itself.  Returns where the point
+        is an Anderson point.
         """
         trace = self.gram.trace(axis1=1, axis2=2)
-        use = active & (trace > 0.0)
+        use = trace > 0.0
         zc, gc = self.f_cols, g.transpose(2, 0, 1)
         if use.any():
             ridge = np.where(use, _RIDGE * trace, 1.0)
@@ -419,7 +413,7 @@ class _Anderson:
             zc[~use] = gc[~use]
         return use
 
-    def step(self, g, active, apply):
+    def step(self, g, apply):
         """One accepted step from the current points, whose T is ``g``.
 
         ``apply(z, cols)`` is T of ``z`` for the block columns ``cols``.  A
@@ -431,7 +425,7 @@ class _Anderson:
         s = self.slot
         if s >= 0:  # the extrapolation reads no dF: park the old residual in slot s
             self.df[:, s] = self.f
-        use = self._extrapolate(g, active)
+        use = self._extrapolate(g)
         f, fc = self.f, self.f_cols
         g_next = apply(self.f_block, slice(None))
         gc, g_nextc = g.transpose(2, 0, 1), g_next.transpose(2, 0, 1)
@@ -461,9 +455,10 @@ class _Anderson:
     def compact(self, keep):
         """Move the kept columns to the front, in place, and drop the rest."""
         n = np.count_nonzero(keep)
+        first = np.argmin(keep)  # the columns before the first dropped one stay put
         for name in ("df", "dg", "gram", "rhs", "valid", "f", "norm2"):
             a = getattr(self, name)
-            a[:n] = a[keep]
+            a[first:n] = a[first:][keep[first:]]
             setattr(self, name, a[:n])
         self._view_rows()
 

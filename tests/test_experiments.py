@@ -72,9 +72,15 @@ class TestSignals:
         for kwargs in bad_specs:
             with pytest.raises(ValueError):
                 ExperimentSpec(**kwargs)
-        for sigma in (np.nan, np.inf, -1.0):
+        bad_stft_specs = [
+            dict(noise_sigma=np.nan),
+            dict(noise_sigma=np.inf),
+            dict(noise_sigma=-1.0),
+            dict(signal_len=1),  # make_chirp divides by signal_len - 1
+        ]
+        for kwargs in bad_stft_specs:
             with pytest.raises(ValueError):
-                StftDemoSpec(noise_sigma=sigma)
+                StftDemoSpec(**kwargs)
 
 
 class TestRmse:

@@ -132,15 +132,23 @@ class TestHuber:
 
 
 class TestScaledFamilies:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scaled_huber_values(self):
         assert scaled_huber(0.1, 2.0) == pytest.approx(0.02)
         assert scaled_huber(1.0, 2.0) == pytest.approx(0.875)
         assert scaled_huber(7.0, 0.0) == 0.0
+        for b in (1e200, np.inf):  # b**2 overflows: the b -> inf limit |x|
+            assert scaled_huber(0.0, b) == 0.0
+            assert scaled_huber(-2.0, b) == 2.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scaled_mc_values(self):
         assert scaled_mc(3.0, 0.0) == 3.0
         assert scaled_mc(1.0, 2.0) == pytest.approx(0.125)
         assert scaled_mc(-5.0, 1.0) == 0.5
+        for b in (1e200, np.inf):
+            assert scaled_mc(0.0, b) == 0.0
+            assert scaled_mc(-2.0, b) == 0.0
 
     def test_sign_of_b_is_irrelevant(self):
         assert np.array_equal(scaled_huber(GRID, 1.5), scaled_huber(GRID, -1.5))

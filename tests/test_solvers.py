@@ -439,6 +439,26 @@ class TestSolveMany:
             if gamma == 0.0:
                 assert_v_is_zero(rep)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_retired_column_costs_no_more_t(self, monkeypatch, gamma):
+        rng = np.random.default_rng(18)
+        op = DftFrameOperator(20, 48)
+        ys = rng.normal(size=(20, 8))
+        ys[:, 0] = 0.0  # T(0) = 0: column 0 is written out at iteration 1
+        widths = []
+        step = gmcreg.solvers._saddle_step
+
+        def counting(a_op, z, *args):
+            widths.append(z.shape[-1])
+            return step(a_op, z, *args)
+
+        monkeypatch.setattr(gmcreg.solvers, "_saddle_step", counting)
+        reports = solve_many(op, ys, [SolveConfig(lam=0.3, gamma=gamma)] * 8)
+        assert reports[0].iterations == 1
+        assert min(r.iterations for r in reports[1:]) > 1
+        assert widths[0] == 8
+        assert max(widths[1:]) == 7
+
     @pytest.mark.parametrize(
         "other",
         [
