@@ -15,9 +15,8 @@ B^T B is dominated by the Gram matrix of the data operator (see
 ``build_b_from_a`` and the solvers module).
 
 There is no closed form for the inner minimum.  It is the l1
-least-squares problem on B with data ``B x`` and weight 1, so it runs on
-the solvers' forward-backward kernel (accelerated ISTA at step
-``1/||B^T B||_2``).
+least-squares problem on B with data ``B x`` and weight 1, so it is
+``ista_solve`` on B, with the step ``1.9/||B^T B||_2`` of every solve.
 ``cost_value`` adds the data fit to the penalty to give the objective the
 solvers minimize.  Penalty objects are immutable and evaluation is pure, so
 they can be shared across threads.
@@ -31,7 +30,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .operators import COMPLEX, LinearOperator, ScaledOperator
-from .solvers import _forward_backward
+from .solvers import SolveConfig, _solve_block
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,9 @@ class GmcPenalty:
     """A generalized Huber / GMC penalty parameterized by the operator B.
 
     ``inner_tol`` is the sup-norm fixed-point tolerance of the inner
-    shrinkage iteration, ``inner_max_iter`` its iteration budget.  The
-    squared spectral norm of B (``b_op.gram_norm()``, exact when B is a
-    scaled frame) is taken once at construction and sets the inner step.
+    shrinkage iteration, ``inner_max_iter`` its integer iteration budget.
+    ``gram_norm``, the squared spectral norm B declares, is taken once at
+    construction; at 0 the inner minimum is 0 without a solve.
     """
 
     b_op: LinearOperator
@@ -52,8 +51,8 @@ class GmcPenalty:
     def __post_init__(self):
         if not (self.inner_tol > 0):
             raise ValueError("inner_tol must be positive")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be at least 1")
+        if not isinstance(self.inner_max_iter, (int, np.integer)) or self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be an integer of at least 1")
         object.__setattr__(self, "gram_norm", self.b_op.gram_norm())
 
     @property
@@ -97,7 +96,7 @@ def _as_columns(pen: GmcPenalty, x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != pen.domain_dim:
+    if x.ndim != 2 or x.shape[0] != pen.domain_dim or x.shape[1] == 0:
         raise ValueError(f"expected vectors of length {pen.domain_dim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite (it holds a NaN or an infinity)")
@@ -115,21 +114,19 @@ def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
     """min_v ||v||_1 + 0.5*||B(x - v)||^2 for every column x of ``xs``.
 
-    The solvers' accelerated ISTA on B with data ``B x`` and weight 1, at
-    step 1/||B^T B||_2.  Its safeguard keeps an extrapolated point only
-    where the residual norm shrinks, so the objective need not decrease
-    monotonically; each column stops at its own tolerance.  Returns (v,
-    values, iterations, residual), the last two the largest over the
-    columns.  The ``ConvergenceError`` payload holds one
-    column per query point, or the 1-D vector and a float when ``single``.
+    One block run of ``ista_solve`` on B with data ``B x`` and weight 1;
+    a single column gets its bits.  Its safeguard keeps an extrapolated
+    point only where the residual norm shrinks, so the objective need not
+    decrease monotonically; each column stops at its own tolerance.
+    Returns (v, values, iterations, residual), the last two the largest
+    over the columns.  The ``ConvergenceError`` payload holds one column
+    per query point, or the 1-D vector and a float when ``single``.
     """
     if pen.gram_norm == 0.0:
         # B = 0: the minimum is 0 at v = 0
         return np.zeros_like(xs), np.zeros(xs.shape[1]), 0, 0.0
-    ys, lams = pen.b_op.forward_multi(xs), np.ones(xs.shape[1])
-    (v,), iters, resids = _forward_backward(
-        pen.b_op, ys, 1.0 / pen.gram_norm, lams, 0.0, pen.inner_tol, pen.inner_max_iter
-    )
+    cfg = SolveConfig(1.0, tol=pen.inner_tol, max_iter=pen.inner_max_iter)
+    v, _, iters, resids = _solve_block(pen.b_op, pen.b_op.forward_multi(xs), (cfg,) * xs.shape[1])
     values, resid = _inner_values(pen, xs, v), float(resids.max())
     if resid <= pen.inner_tol:
         return v, values, int(iters.max()), resid
@@ -224,8 +221,9 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
 
     The penalty comes from ``build_b_from_a``, so its inner solve runs to
     tolerance 1e-10 within 100 000 iterations.  ``y`` must be a finite
-    vector of length ``a_op.codomain_dim``, ``xs`` finite and ``lam``
-    positive and finite (``ValueError`` otherwise), whatever ``gamma``.
+    vector of length ``a_op.codomain_dim``, ``xs`` finite with at least
+    one column and ``lam`` positive and finite (``ValueError`` otherwise),
+    whatever ``gamma``.
     """
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
@@ -235,6 +233,8 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
     if not (0 < lam < np.inf):
         raise ValueError("lam must be positive and finite")
     xs = np.asarray(xs)
+    if xs.size == 0:
+        raise ValueError(f"expected vectors of length {a_op.domain_dim}, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite (it holds a NaN or an infinity)")
     r = a_op.forward_multi(xs) - y[:, None]

@@ -67,7 +67,7 @@ def soft(y, lam):
     ``(1 - lam/|y|) * y`` on ``|y| > lam``, else 0.
     """
     lam = np.asarray(lam)
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ValueError("threshold lam must be non-negative")
     y_arr = np.asarray(y)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -98,11 +98,13 @@ def scaled_huber(x, b):
     """Scaled Huber function ``huber(b**2 * x) / b**2``; identically 0 at b = 0.
 
     Equals ``0.5 * b**2 * x**2`` on ``|x| <= 1/b**2`` and ``|x| - 0.5/b**2``
-    beyond.  Only ``b**2`` enters, so negative ``b`` is fine.  Where
-    ``b**2`` overflows it is the b -> inf limit ``|x|``.
+    beyond.  Only ``b**2`` enters, so negative ``b`` is fine; NaN is not.
+    Where ``b**2`` overflows it is the b -> inf limit ``|x|``.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     b2 = float(b) * float(b)
+    if np.isnan(b2):
+        raise ValueError("b must not be NaN")
     if b2 == 0.0:
         out = np.zeros_like(x_arr)
     elif b2 == np.inf:

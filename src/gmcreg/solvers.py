@@ -7,7 +7,7 @@ forward-backward splitting.  One step T from a point (p, q) costs two
 applications of A and two of its adjoint plus soft thresholding:
 
     rho  = max(1, gamma/(1-gamma)) * ||A^T A||_2
-    mu   in (0, 2/rho)
+    mu   = 1.9/rho
     w    = p - mu * A^T( A(p + gamma*(q - p)) - y )
     u    = q - mu * gamma * A^T( A(q - p) )
     T(p, q) = (soft(w, mu*lam), soft(u, mu*lam))
@@ -94,16 +94,15 @@ class SolveConfig:
     """Configuration of the saddle-point solver.
 
     ``gamma`` in [0, 1) controls penalty non-convexity (0 gives plain l1;
-    1 is excluded because the forward step loses cocoercivity there).
-    ``mu`` overrides the automatic step size ``1.9/rho`` and must stay in
-    the open interval (0, 2/rho).  ``tol`` bounds the sup-norm change, over
-    both blocks, of the last step taken: the solve stops once a step moves
-    no entry by more than ``tol``.
+    1 is excluded because the forward step loses cocoercivity there).  The
+    step is always ``1.9/rho`` (see the module docstring).  ``tol`` bounds
+    the sup-norm change, over both blocks, of the last step taken: the
+    solve stops once a step moves no entry by more than ``tol``, or after
+    ``max_iter`` steps, an integer of at least 1.
     """
 
     lam: float
     gamma: float = 0.0
-    mu: Optional[float] = None
     max_iter: int = 100_000
     tol: float = 1e-9
 
@@ -114,10 +113,8 @@ class SolveConfig:
             raise ValueError("gamma must lie in [0, 1); gamma = 1 breaks the step-size bound")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.mu is not None and not (self.mu > 0):
-            raise ValueError("mu must be positive when given")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -144,12 +141,7 @@ class SolveReport:
 def _step_size(cfg: SolveConfig, gram: float) -> float:
     if gram <= 0:
         raise ValueError("operator Gram norm must be positive")
-    rho = max(1.0, cfg.gamma / (1.0 - cfg.gamma)) * gram
-    if cfg.mu is None:
-        return 1.9 / rho
-    if not (0.0 < cfg.mu < 2.0 / rho):
-        raise ValueError(f"mu must lie in (0, {2.0 / rho}) for this operator, got {cfg.mu}")
-    return cfg.mu
+    return 1.9 / (max(1.0, cfg.gamma / (1.0 - cfg.gamma)) * gram)
 
 
 def gmc_solve(
@@ -184,11 +176,10 @@ def ista_solve(
 
     The safeguarded Anderson iteration (see the module docstring) of the
     ISTA step ``T(x) = soft(x - mu*A^T(A x - y), mu*lam)`` with
-    ``mu = 1.9/||A^T A||_2`` unless overridden via ``cfg.mu``.  This is
-    ``gmc_solve`` at ``gamma = 0`` by construction: both run the same
-    kernel, which at ``gamma = 0`` applies A and its adjoint once each per
-    step and holds v at zero.  ``lam`` takes precedence over ``cfg.lam``;
-    ``cfg.gamma`` is ignored.
+    ``mu = 1.9/||A^T A||_2``.  This is ``gmc_solve`` at ``gamma = 0`` by
+    construction: both run the same kernel, which at ``gamma = 0`` applies
+    A and its adjoint once each per step and holds v at zero.  ``lam``
+    takes precedence over ``cfg.lam``; ``cfg.gamma`` is ignored.
     """
     cfg = SolveConfig(lam=lam) if cfg is None else replace(cfg, lam=lam, gamma=0.0)
     return _solve_one(a_op, y, cfg, callback)
@@ -198,14 +189,14 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     """``gmc_solve(a_op, ys[:, j], cfgs[j])`` for every column j, as one block.
 
     ``ys`` is (M, k) and ``cfgs`` holds k configurations that may differ in
-    ``lam`` only: they must agree on ``gamma``, ``mu``, ``tol`` and
-    ``max_iter``.  The Gram norm is taken once for the block, and each
-    iteration applies A and its adjoint to all live columns at once.  A
-    column stops at its own tolerance or budget.  On the DFT and STFT
-    frames its iterates and iteration count equal the solo solve's bit for
-    bit.  On a dense operator a matrix-matrix product rounds differently
-    from a matrix-vector product, and the Anderson steps can amplify that
-    up to the tolerance scale (see the module docstring).
+    ``lam`` only: they must agree on ``gamma``, ``tol`` and ``max_iter``.
+    The Gram norm is taken once for the block, and each iteration applies
+    A and its adjoint to all live columns at once.  A column stops at its
+    own tolerance or budget.  On the DFT and STFT frames its iterates and
+    iteration count equal the solo solve's bit for bit.  On a dense
+    operator a matrix-matrix product rounds differently from a
+    matrix-vector product, and the Anderson steps can amplify that up to
+    the tolerance scale (see the module docstring).
     """
     ys = np.asarray(ys)
     cfgs = tuple(cfgs)
@@ -216,25 +207,40 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
         )
     if not cfgs:
         raise ValueError("solve_many needs at least one column")
-    if len({(c.gamma, c.mu, c.tol, c.max_iter) for c in cfgs}) != 1:
-        raise ValueError("cfgs must agree on gamma, mu, tol and max_iter")
-    return _solve_block(a_op, ys, cfgs)
+    if len({(c.gamma, c.tol, c.max_iter) for c in cfgs}) != 1:
+        raise ValueError("cfgs must agree on gamma, tol and max_iter")
+    return _reports(cfgs[0].tol, *_solve_block(a_op, ys, cfgs))
 
 
 def _solve_one(a_op, y, cfg, callback) -> SolveReport:
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
         raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    (report,) = _solve_block(a_op, y[:, None], (cfg,), callback)
+    (report,) = _reports(cfg.tol, *_solve_block(a_op, y[:, None], (cfg,), callback))
     return report
 
 
-def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
+def _reports(tol, x, v, iterations, delta) -> tuple[SolveReport, ...]:
+    """One ``SolveReport`` per column of a ``_solve_block`` result."""
+    return tuple(
+        SolveReport(
+            x_star=x[:, j].copy(),
+            v_star=v[:, j].copy(),
+            iterations=int(iterations[j]),
+            converged=bool(delta[j] <= tol),
+            delta=float(delta[j]),
+        )
+        for j in range(x.shape[1])
+    )
+
+
+def _solve_block(a_op, ys, cfgs, callback=None):
     """One kernel run for ``cfgs``, which share everything but ``lam``.
 
     A real block on a DFT frame runs on the half spectrum (see the module
-    docstring).  ``full`` turns a kernel block into full-length (x, v), v
-    zero at ``gamma = 0``, for the reports and the callback states alike.
+    docstring).  Returns full-length (N, k) blocks x and v, which ``full``
+    forms as it forms the callback states (v zero at ``gamma = 0``), and
+    per column the iteration count and the last change.
     """
     cfg = cfgs[0]
     mu = _step_size(cfg, a_op.gram_norm())
@@ -258,17 +264,7 @@ def _solve_block(a_op, ys, cfgs, callback=None) -> tuple[SolveReport, ...]:
     g, iterations, delta = _forward_backward(
         op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, track, weights
     )
-    x, v = full(g)
-    return tuple(
-        SolveReport(
-            x_star=x[:, j].copy(),
-            v_star=v[:, j].copy(),
-            iterations=int(iterations[j]),
-            converged=bool(delta[j] <= cfg.tol),
-            delta=float(delta[j]),
-        )
-        for j in range(len(cfgs))
-    )
+    return (*full(g), iterations, delta)
 
 
 def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, weights=None):

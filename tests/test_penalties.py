@@ -10,9 +10,11 @@ from gmcreg import (
     ScaledOperator,
     SolveConfig,
     build_b_from_a,
+    cost_value_many,
     eval_generalized_huber,
     eval_generalized_huber_many,
     eval_gmc,
+    eval_gmc_many,
     grad_generalized_huber,
     in_quadratic_region,
     ista_solve,
@@ -190,7 +192,11 @@ class TestValue:
 
 
 class TestInnerSolveIsIsta:
-    """The inner problem is ISTA on B with data B x and weight 1, bit for bit."""
+    """The inner problem is ``ista_solve`` on B with data B x and weight 1, bit for bit.
+
+    It takes ``ista_solve``'s configuration: the step 1.9/||B^T B||_2 of
+    every solve, and the penalty's tolerance and budget.
+    """
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_matches_ista_solve(self, field):
@@ -205,12 +211,11 @@ class TestInnerSolveIsIsta:
                 x = x + 3j * rng.normal(size=n)
             pen = GmcPenalty(DenseOperator(b))
             sol = eval_generalized_huber(pen, x)
-            cfg = SolveConfig(
-                lam=1.0, mu=1 / pen.gram_norm, tol=pen.inner_tol, max_iter=pen.inner_max_iter
-            )
-            rep = ista_solve(pen.b_op, pen.b_op.forward_multi(x[:, None])[:, 0], 1.0, cfg)
+            cfg = SolveConfig(1.0, tol=pen.inner_tol, max_iter=pen.inner_max_iter)
+            rep = ista_solve(pen.b_op, pen.b_op.forward(x), 1.0, cfg)
             assert sol.v_star.tobytes() == rep.x_star.tobytes()
             assert sol.iterations == rep.iterations
+            assert sol.residual == rep.delta
 
 
 class TestInput:
@@ -221,6 +226,24 @@ class TestInput:
         for evaluate in (eval_generalized_huber, eval_generalized_huber_many, eval_gmc):
             with pytest.raises(ValueError, match="x must be finite"):
                 evaluate(pen, x)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            eval_generalized_huber_many,
+            eval_gmc_many,
+            lambda pen, xs: cost_value_many(pen.b_op, np.ones(2), 0.5, 0.5, xs),
+            lambda pen, xs: cost_value_many(pen.b_op, np.ones(2), 0.5, 0.0, xs),
+        ],
+        ids=[
+            "eval_generalized_huber_many", "eval_gmc_many", "cost_value_many", "cost_value_many_l1"
+        ],
+    )
+    def test_empty_batch_raises(self, evaluate):
+        # zero columns would reach the solver kernel, which needs one
+        pen = GmcPenalty(DenseOperator(np.eye(2)))
+        with pytest.raises(ValueError, match="vectors of length 2"):
+            evaluate(pen, np.zeros((2, 0)))
 
     @pytest.mark.parametrize(
         "evaluate", [eval_generalized_huber, eval_gmc, grad_generalized_huber, in_quadratic_region]
@@ -327,6 +350,10 @@ class TestBuildFromA:
             GmcPenalty(DenseOperator(np.eye(2)), inner_tol=0.0)
         with pytest.raises(ValueError):
             GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=0)
+        # a float budget would fail only mid-solve, in range()
+        with pytest.raises(ValueError, match="inner_max_iter"):
+            GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=2.5)
+        assert GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=np.int64(5)).inner_max_iter == 5
 
 
 class TestComplex:

@@ -50,8 +50,9 @@ class TestSoft:
             assert abs(got - ref) <= 0.01
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft(1.0, -0.1)
+        for lam in (-0.1, np.nan, [0.5, np.nan]):  # NaN fails the lam >= 0 check too
+            with pytest.raises(ValueError):
+                soft(1.0, lam)
 
     def test_zero_threshold_is_identity(self):
         y = np.array([-2.0, 0.0, 3.0])
@@ -140,6 +141,8 @@ class TestScaledFamilies:
         for b in (1e200, np.inf):  # b**2 overflows: the b -> inf limit |x|
             assert scaled_huber(0.0, b) == 0.0
             assert scaled_huber(-2.0, b) == 2.0
+        with pytest.raises(ValueError, match="NaN"):
+            scaled_huber(1.0, np.nan)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scaled_mc_values(self):
@@ -149,6 +152,8 @@ class TestScaledFamilies:
         for b in (1e200, np.inf):
             assert scaled_mc(0.0, b) == 0.0
             assert scaled_mc(-2.0, b) == 0.0
+        with pytest.raises(ValueError, match="NaN"):
+            scaled_mc(1.0, np.nan)
 
     def test_sign_of_b_is_irrelevant(self):
         assert np.array_equal(scaled_huber(GRID, 1.5), scaled_huber(GRID, -1.5))

@@ -53,11 +53,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(lam=lam)
 
-    def test_mu_out_of_range(self):
-        a = DenseOperator(np.eye(2))
-        cfg = SolveConfig(lam=1.0, gamma=0.0, mu=3.0)  # 2/rho = 2 here
-        with pytest.raises(ValueError):
-            gmc_solve(a, np.ones(2), cfg)
+    def test_max_iter_must_be_an_integer(self):
+        # a float budget would fail only mid-solve, in range()
+        for bad in (2.5, 3.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="max_iter"):
+                SolveConfig(lam=1.0, max_iter=bad)
+        for good in (3, np.int64(3), np.int32(3)):
+            cfg = SolveConfig(lam=1.0, max_iter=good)
+            assert gmc_solve(DenseOperator(np.eye(2)), np.ones(2), cfg).iterations <= 3
 
 
 class TestGmcSolve:
@@ -224,10 +227,10 @@ class TestDenseOracle:
             entries = entries + 1j * rng.normal(size=(6, 9))
             y = y + 1j * rng.normal(size=6)
         lam = 0.3
-        mu = 1.0 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
-        cfg = SolveConfig(lam=lam, gamma=gamma, mu=mu, tol=1e-300, max_iter=150)
+        cfg = SolveConfig(lam=lam, gamma=gamma, tol=1e-300, max_iter=150)
         states = []
         gmc_solve(DenseOperator(entries), y, cfg, callback=states.append)
+        mu = solver_step(entries, gamma)
         expected = dense_saddle_steps(entries, y, lam, gamma, mu, gmcreg.solvers._MEMORY)
         assert len(states) == 150 or states[-1].delta == 0.0
         for s, (x, v, delta) in zip(states, expected):
@@ -263,16 +266,15 @@ class TestInertialStability:
             lam, gamma = rng.uniform(0.2, 0.8), rng.uniform(0.3, 0.9)
             if l1:
                 gamma = 0.0
-            mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
             peak = [0.0]
 
             def track(s):
                 peak[0] = max(peak[0], np.max(np.abs(s.x)), np.max(np.abs(s.v)))
 
-            cfg = SolveConfig(lam=lam, gamma=gamma, mu=mu, tol=self.TOL)
+            cfg = SolveConfig(lam=lam, gamma=gamma, tol=self.TOL)
             rep = gmc_solve(DenseOperator(entries), y, cfg, callback=track)
             assert rep.converged
-            plain_iters, plain_peak = plain_run(entries, y, lam, gamma, mu, self.TOL)
+            plain_iters, plain_peak = plain_run(entries, y, lam, gamma, self.TOL)
             assert peak[0] <= 2.0 * plain_peak
             assert rep.iterations <= 1.1 * plain_iters
             ours.append(rep.iterations)
@@ -280,10 +282,19 @@ class TestInertialStability:
         assert sum(ours) <= 0.7 * sum(plains)
 
 
-def plain_run(entries, y, lam, gamma, mu, tol):
-    """Iterations and peak entry modulus of plain forward-backward to ``tol``."""
+def solver_step(entries, gamma):
+    """The solvers' step on ``DenseOperator(entries)``, formed as ``_step_size`` forms it."""
+    return 1.9 / (max(1.0, gamma / (1.0 - gamma)) * DenseOperator(entries).gram_norm())
+
+
+def plain_run(entries, y, lam, gamma, tol):
+    """Iterations and peak entry modulus of plain forward-backward to ``tol``.
+
+    It steps as the solvers do (``solver_step``).
+    """
     peak = 0.0
-    for iters, (x, v, delta) in enumerate(dense_saddle_steps(entries, y, lam, gamma, mu), start=1):
+    steps = dense_saddle_steps(entries, y, lam, gamma, solver_step(entries, gamma))
+    for iters, (x, v, delta) in enumerate(steps, start=1):
         peak = max(peak, np.max(np.abs(x)), np.max(np.abs(v)))
         if delta <= tol:
             return iters, peak
@@ -354,15 +365,14 @@ class TestAndersonProperties:
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_peak_at_most_twice_plain(self, problem):
         entries, ys, (lam,), gamma = problem
-        mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
         peak = [0.0]
 
         def track(s):
             peak[0] = max(peak[0], np.max(np.abs(s.x)), np.max(np.abs(s.v)))
 
-        cfg = SolveConfig(lam, gamma, mu=mu, tol=self.TOL)
+        cfg = SolveConfig(lam, gamma, tol=self.TOL)
         assert gmc_solve(DenseOperator(entries), ys[:, 0], cfg, callback=track).converged
-        assert peak[0] <= 2.0 * plain_run(entries, ys[:, 0], lam, gamma, mu, self.TOL)[1]
+        assert peak[0] <= 2.0 * plain_run(entries, ys[:, 0], lam, gamma, self.TOL)[1]
 
 
 def assert_v_is_zero(rep):
@@ -465,7 +475,6 @@ class TestSolveMany:
             SolveConfig(lam=0.5, gamma=0.5),
             SolveConfig(lam=0.5, tol=1e-6),
             SolveConfig(lam=0.5, max_iter=10),
-            SolveConfig(lam=0.5, mu=0.01),
         ],
     )
     def test_cfgs_must_agree(self, other):
