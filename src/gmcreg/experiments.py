@@ -99,8 +99,8 @@ class ExperimentSpec:
             raise ValueError("amplitudes must be finite")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be non-negative and finite")
-        if self.realizations < 1:
-            raise ValueError("realizations must be at least 1")
+        if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
+            raise ValueError("realizations must be an integer of at least 1")
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be non-empty and strictly increasing")
@@ -233,8 +233,8 @@ def make_chirp(spec: StftDemoSpec) -> Signal:
 
 def _philox_key(seed) -> np.ndarray:
     parts = np.atleast_1d(np.asarray(seed, dtype=object))
-    if parts.size > 2:
-        raise ValueError("seed must be an integer or a pair of integers")
+    if parts.size > 2 or not all(isinstance(p, (int, np.integer)) for p in parts.flat):
+        raise ValueError(f"seed {seed!r} must be an integer or a pair of integers")
     if not all(0 <= p < 2**64 for p in parts.flat):
         raise ValueError(f"seed {seed!r} has a part outside [0, 2**64)")
     key = np.zeros(2, dtype=np.uint64)

@@ -39,8 +39,9 @@ class LinearOperator:
     """
 
     def __init__(self, domain_dim: int, codomain_dim: int, field: str):
-        if domain_dim <= 0 or codomain_dim <= 0:
-            raise ValueError("operator dimensions must be positive")
+        for dim in (domain_dim, codomain_dim):
+            if not isinstance(dim, (int, np.integer)) or dim <= 0:
+                raise ValueError(f"operator dimensions must be positive integers, got {dim!r}")
         if field not in (REAL, COMPLEX):
             raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field!r}")
         self.domain_dim = int(domain_dim)

@@ -16,7 +16,8 @@ B^T B is dominated by the Gram matrix of the data operator (see
 
 There is no closed form for the inner minimum.  It is the l1
 least-squares problem on B with data ``B x`` and weight 1, so it is
-``ista_solve`` on B, with the step ``1.9/||B^T B||_2`` of every solve.
+``ista_solve`` on B, with the step ``1.9/||B^T B||_2`` of every solve taken
+from the norm the penalty holds.
 ``cost_value`` adds the data fit to the penalty to give the objective the
 solvers minimize.  Penalty objects are immutable and evaluation is pure, so
 they can be shared across threads.
@@ -40,7 +41,8 @@ class GmcPenalty:
     ``inner_tol`` is the sup-norm fixed-point tolerance of the inner
     shrinkage iteration, ``inner_max_iter`` its integer iteration budget.
     ``gram_norm``, the squared spectral norm B declares, is taken once at
-    construction; at 0 the inner minimum is 0 without a solve.
+    construction, and every inner solve steps from it; at 0 the inner
+    minimum is 0 without a solve.
     """
 
     b_op: LinearOperator
@@ -114,10 +116,11 @@ def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
     """min_v ||v||_1 + 0.5*||B(x - v)||^2 for every column x of ``xs``.
 
-    One block run of ``ista_solve`` on B with data ``B x`` and weight 1;
-    a single column gets its bits.  Its safeguard keeps an extrapolated
-    point only where the residual norm shrinks, so the objective need not
-    decrease monotonically; each column stops at its own tolerance.
+    One block run of ``ista_solve`` on B with data ``B x`` and weight 1,
+    stepping from the held ``pen.gram_norm``; a single column gets its
+    bits.  Its safeguard keeps an extrapolated point only where the
+    residual norm shrinks, so the objective need not decrease
+    monotonically; each column stops at its own tolerance.
     Returns (v, values, iterations, residual), the last two the largest
     over the columns.  The ``ConvergenceError`` payload holds one column
     per query point, or the 1-D vector and a float when ``single``.
@@ -126,7 +129,8 @@ def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
         # B = 0: the minimum is 0 at v = 0
         return np.zeros_like(xs), np.zeros(xs.shape[1]), 0, 0.0
     cfg = SolveConfig(1.0, tol=pen.inner_tol, max_iter=pen.inner_max_iter)
-    v, _, iters, resids = _solve_block(pen.b_op, pen.b_op.forward_multi(xs), (cfg,) * xs.shape[1])
+    bx, ones = pen.b_op.forward_multi(xs), np.ones(xs.shape[1])
+    v, _, iters, resids = _solve_block(pen.b_op, bx, ones, cfg, pen.gram_norm)
     values, resid = _inner_values(pen, xs, v), float(resids.max())
     if resid <= pen.inner_tol:
         return v, values, int(iters.max()), resid

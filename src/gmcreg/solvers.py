@@ -59,12 +59,12 @@ a block applies A as a matrix-matrix product and a solo solve as a
 matrix-vector product, and the Anderson steps can amplify that rounding
 difference, so the column can stop at another iteration and point within
 its tolerance.  A written-out column leaves the block in the same
-iteration, so it costs no further T or history work.  The step size comes
-from the operator's ``gram_norm``, which every operator declares, never
-from a power-iteration estimate.
-The penalties module runs the generalized-Huber inner problem on the same
-kernel, and holds the objective ``cost_value``.  An iterate that turns NaN
-raises ``FloatingPointError``.
+iteration, so it costs no further T or history work.  The step comes
+from the Gram norm the caller passes: the operator's declared
+``gram_norm``, or the one a ``GmcPenalty`` took at construction, never a
+power-iteration estimate.  The penalties module runs the generalized-Huber
+inner problem on the same kernel, and holds the objective ``cost_value``.
+An iterate that turns NaN raises ``FloatingPointError``.
 
 Solvers hold no hidden state: identical inputs and configuration produce
 bit-identical iterate sequences.
@@ -138,12 +138,6 @@ class SolveReport:
     delta: float
 
 
-def _step_size(cfg: SolveConfig, gram: float) -> float:
-    if gram <= 0:
-        raise ValueError("operator Gram norm must be positive")
-    return 1.9 / (max(1.0, cfg.gamma / (1.0 - cfg.gamma)) * gram)
-
-
 def gmc_solve(
     a_op: LinearOperator,
     y,
@@ -209,14 +203,16 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
         raise ValueError("solve_many needs at least one column")
     if len({(c.gamma, c.tol, c.max_iter) for c in cfgs}) != 1:
         raise ValueError("cfgs must agree on gamma, tol and max_iter")
-    return _reports(cfgs[0].tol, *_solve_block(a_op, ys, cfgs))
+    lams = [c.lam for c in cfgs]
+    return _reports(cfgs[0].tol, *_solve_block(a_op, ys, lams, cfgs[0], a_op.gram_norm()))
 
 
 def _solve_one(a_op, y, cfg, callback) -> SolveReport:
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
         raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    (report,) = _reports(cfg.tol, *_solve_block(a_op, y[:, None], (cfg,), callback))
+    block = _solve_block(a_op, y[:, None], [cfg.lam], cfg, a_op.gram_norm(), callback)
+    (report,) = _reports(cfg.tol, *block)
     return report
 
 
@@ -234,17 +230,30 @@ def _reports(tol, x, v, iterations, delta) -> tuple[SolveReport, ...]:
     )
 
 
-def _solve_block(a_op, ys, cfgs, callback=None):
-    """One kernel run for ``cfgs``, which share everything but ``lam``.
+def _solve_block(a_op, ys, lams, cfg, gram, callback=None):
+    """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
-    A real block on a DFT frame runs on the half spectrum (see the module
-    docstring).  Returns full-length (N, k) blocks x and v, which ``full``
-    forms as it forms the callback states (v zero at ``gamma = 0``), and
-    per column the iteration count and the last change.
+    ``cfg`` gives the shared ``gamma``, ``tol`` and ``max_iter``; its
+    ``lam`` is not read.  ``gram`` is the Gram norm of A the caller holds,
+    and the step is ``1.9/rho`` from it.  A real block on a DFT frame runs
+    on the half spectrum (see the module docstring).  The block g holds T
+    of each column's current point: the pair (x, v), shape (2, N, k), at
+    ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.  Each iteration
+    is one accepted step per column, ``_Anderson``'s safeguarded step (see
+    the module docstring).  A column whose change drops to ``tol``, or
+    whose budget runs out, is written out and leaves the block in the same
+    iteration.  ``callback`` receives column 0's ``SaddleState`` each
+    iteration; only single solves pass one.  Returns full-length (N, k)
+    blocks x and v, which ``full`` forms as it forms the callback states (v
+    zero at ``gamma = 0``), and per column the iteration count and the last
+    change.  A NaN change raises ``FloatingPointError``.
     """
-    cfg = cfgs[0]
-    mu = _step_size(cfg, a_op.gram_norm())
-    lams = [c.lam for c in cfgs]
+    if gram <= 0:
+        raise ValueError("operator Gram norm must be positive")
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("y must be finite (it holds a NaN or an infinity)")
+    gamma = cfg.gamma
+    mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * gram)
     op, weights, expand = a_op, None, np.asarray
     if isinstance(a_op, DftFrameOperator) and not np.iscomplexobj(ys):
         op = a_op._real_form()
@@ -254,41 +263,9 @@ def _solve_block(a_op, ys, cfgs, callback=None):
         x = expand(g[0])
         return x, (expand(g[1]) if len(g) == 2 else np.zeros_like(x))
 
-    track = None
-    if callback is not None:
-
-        def track(i, g, delta):
-            x, v = full(g)
-            callback(SaddleState(x=x.copy(), v=v.copy(), iter=i, delta=float(delta)))
-
-    g, iterations, delta = _forward_backward(
-        op, ys, mu, lams, cfg.gamma, cfg.tol, cfg.max_iter, track, weights
-    )
-    return (*full(g), iterations, delta)
-
-
-def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, weights=None):
-    """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
-
-    Step ``mu``, ``gamma``, ``tol`` and ``max_iter`` are shared.  The block
-    g holds T of each column's current point: the pair (x, v), shape
-    (2, N, k), at ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.
-    Each iteration is one accepted step per column, ``_Anderson``'s
-    safeguarded step (see the module docstring).  A column whose change
-    drops to ``tol``, or whose budget runs out, is written out and leaves
-    the block in the same iteration.  ``callback(i, g[..., 0], delta[0])``
-    follows column 0, with a view into the block; only single solves pass
-    one.  ``weights``, one per entry of a column, weight the inner products
-    of the Anderson history (see ``_Anderson``).
-    Returns ``(g, iterations, delta)``: the final g, and per column the
-    iteration count and the last change.  A NaN change raises
-    ``FloatingPointError``.
-    """
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("y must be finite (it holds a NaN or an infinity)")
     k = ys.shape[1]
-    dtype = np.complex128 if (a_op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
-    g = np.zeros((1 if gamma == 0.0 else 2, a_op.domain_dim, k), dtype=dtype)
+    dtype = np.complex128 if (op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
+    g = np.zeros((1 if gamma == 0.0 else 2, op.domain_dim, k), dtype=dtype)
     out = np.zeros_like(g)  # each column's final g, written when it retires
     iterations = np.zeros(k, dtype=np.int64)
     deltas = np.zeros(k)
@@ -297,17 +274,18 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
     anderson = _Anderson(g, _MEMORY, weights)
 
     def apply(z, cols):
-        return _saddle_step(a_op, z, ys[:, cols], mu, gamma, thr[:, cols])
+        return _saddle_step(op, z, ys[:, cols], mu, gamma, thr[:, cols])
 
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, max_iter + 1):
+        for i in range(1, cfg.max_iter + 1):
             g, delta = anderson.step(g, apply)
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
-                callback(i, g[..., 0], delta[0])
-            done = (delta <= tol) | (i == max_iter)
+                x, v = full(g[..., 0])
+                callback(SaddleState(x=x.copy(), v=v.copy(), iter=i, delta=float(delta[0])))
+            done = (delta <= cfg.tol) | (i == cfg.max_iter)
             if not done.any():
                 continue
             cols = live[done]
@@ -318,7 +296,7 @@ def _forward_backward(a_op, ys, mu, lams, gamma, tol, max_iter, callback=None, w
             keep = ~done
             g, ys, thr, live = (a[..., keep] for a in (g, ys, thr, live))
             anderson.compact(keep)
-    return out, iterations, deltas
+    return (*full(out), iterations, deltas)
 
 
 def _saddle_step(a_op, z, ys, mu, gamma, thr):

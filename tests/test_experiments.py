@@ -56,8 +56,12 @@ class TestSignals:
         for grid in [(1.0, 0.5), (np.nan,), (np.inf,), (-1.0,), (0.0, 1.0)]:
             with pytest.raises(ValueError):
                 ExperimentSpec(lambda_grid=grid)
-        with pytest.raises(ValueError):
-            ExperimentSpec(realizations=0)
+        for realizations in [0, 2.5, 2.0]:
+            with pytest.raises(ValueError, match="realizations"):
+                ExperimentSpec(realizations=realizations)
+        for sizes in [dict(coef_len=256.0), dict(signal_len=100.0)]:
+            with pytest.raises(ValueError, match="integers"):
+                run_sweep(ExperimentSpec(**sizes))  # the frame is built before any solve
         with pytest.raises(ValueError):
             ExperimentSpec(gamma=1.0)
         bad_specs = [
@@ -117,14 +121,16 @@ class TestNoise:
         b = add_awgn(s, 1.0, (3, 5)).samples
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, (3, -1), (0, 2**64)])
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, (3, -1), (0, 2**64), 1.5, (0, 2.9), "3", np.float64(7.0)]
+    )
     def test_seed_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match="seed"):
             gaussian_draws(4, seed)
         with pytest.raises(ValueError, match="seed"):
             add_awgn(Signal(np.zeros(4)), 1.0, seed)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_spec_seed_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match="seed"):
             ExperimentSpec(seed=seed)

@@ -303,6 +303,21 @@ class TestFrames:
         with pytest.raises(ValueError):
             StftFrameOperator(100, 30)
 
+    @pytest.mark.parametrize(
+        "frame,sizes",
+        [
+            (DftFrameOperator, (100, 256.5)),
+            (DftFrameOperator, (100, 256.0)),
+            (DftFrameOperator, (100.0, 256)),
+            (StftFrameOperator, (100, 64.0)),
+            (StftFrameOperator, (100.0, 64)),
+        ],
+    )
+    def test_non_integer_sizes_raise(self, frame, sizes):
+        # a float length must fail here, not inside an FFT at the first solve
+        with pytest.raises(ValueError, match="integers"):
+            frame(*sizes)
+
     def test_dft_needs_oversampling(self):
         with pytest.raises(ValueError):
             DftFrameOperator(16, 8)

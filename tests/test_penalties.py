@@ -217,6 +217,23 @@ class TestInnerSolveIsIsta:
             assert sol.iterations == rep.iterations
             assert sol.residual == rep.delta
 
+    def test_gram_norm_is_taken_once(self):
+        class CountingOperator(DenseOperator):
+            calls = 0
+
+            def gram_norm(self):
+                CountingOperator.calls += 1
+                return super().gram_norm()
+
+        pen = GmcPenalty(CountingOperator(np.array([[0.8, -0.3], [0.2, 0.9], [-0.5, 0.4]])))
+        assert CountingOperator.calls == 1
+        x = np.array([1.5, -0.7])
+        eval_generalized_huber(pen, x)
+        eval_generalized_huber_many(pen, np.stack([x, 2.0 * x], axis=1))
+        grad_generalized_huber(pen, x)
+        eval_gmc(pen, x)
+        assert CountingOperator.calls == 1
+
 
 class TestInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -283,7 +283,7 @@ class TestInertialStability:
 
 
 def solver_step(entries, gamma):
-    """The solvers' step on ``DenseOperator(entries)``, formed as ``_step_size`` forms it."""
+    """The solvers' step on ``DenseOperator(entries)``, formed as ``_solve_block`` forms it."""
     return 1.9 / (max(1.0, gamma / (1.0 - gamma)) * DenseOperator(entries).gram_norm())
 
 
