@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, _finite
 from .experiments import (
     METHODS,
     ExperimentSpec,
@@ -145,8 +145,7 @@ def _read(what: str, reader, path):
 
 def lambda_grid(lo: float, hi: float, step: float) -> tuple:
     """Inclusive arithmetic grid of at most 10 001 values; the default flags give 13."""
-    if not np.all(np.isfinite((lo, hi, step))):
-        raise ValueError("lambda bounds and step must be finite")
+    _finite((lo, hi, step), "lambda bounds and step")
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and lambda-max >= lambda-min")
     steps = (hi - lo) / step

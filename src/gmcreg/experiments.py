@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .exceptions import _finite, _integer
 from .operators import DftFrameOperator, LinearOperator, StftFrameOperator
 from .solvers import SolveConfig, debias_on_support, gmc_solve, solve_many
 
@@ -57,8 +58,7 @@ class Signal:
         samples = np.atleast_1d(np.asarray(self.samples))
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
+        _finite(samples, "samples")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self):
@@ -88,19 +88,16 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.signal_len <= 0 or self.coef_len < self.signal_len:
-            raise ValueError("need 0 < signal_len <= coef_len")
+        _integer(self.coef_len, "coef_len", least=_integer(self.signal_len, "signal_len"))
         if len(self.frequencies) != 2 or len(self.amplitudes) != 2:
             raise ValueError("need exactly two frequencies and two amplitudes")
         for f in self.frequencies:
             if not (0.0 < f < 0.5):
                 raise ValueError("frequencies must lie in (0, 0.5)")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
+        _finite(self.amplitudes, "amplitudes")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be non-negative and finite")
-        if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
-            raise ValueError("realizations must be an integer of at least 1")
+        _integer(self.realizations, "realizations")
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be non-empty and strictly increasing")
@@ -163,7 +160,8 @@ class StftDemoSpec:
     """Synthetic chirp setup for the time-frequency denoising study.
 
     The chirp sweeps normalized frequency ``freq_start`` to ``freq_end``
-    linearly over ``signal_len`` samples.
+    linearly over ``signal_len`` samples.  Sizes must be integers and ``seed``
+    one integer or a pair, not ``bool``; construction checks them (``ValueError``).
     """
 
     signal_len: int = 400
@@ -179,8 +177,9 @@ class StftDemoSpec:
                 raise ValueError("chirp frequencies must lie in (0, 0.5)")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be non-negative and finite")
-        if self.signal_len < 2:
-            raise ValueError("signal_len must be at least 2")
+        _integer(self.signal_len, "signal_len", least=2)  # make_chirp divides by signal_len - 1
+        _integer(self.segment_len, "segment_len")
+        _philox_key(self.seed)
 
 
 @dataclass(frozen=True)
@@ -232,24 +231,20 @@ def make_chirp(spec: StftDemoSpec) -> Signal:
 
 
 def _philox_key(seed) -> np.ndarray:
-    parts = np.atleast_1d(np.asarray(seed, dtype=object))
-    if parts.size > 2 or not all(isinstance(p, (int, np.integer)) for p in parts.flat):
-        raise ValueError(f"seed {seed!r} must be an integer or a pair of integers")
-    if not all(0 <= p < 2**64 for p in parts.flat):
-        raise ValueError(f"seed {seed!r} has a part outside [0, 2**64)")
-    key = np.zeros(2, dtype=np.uint64)
-    key[: parts.size] = parts.astype(np.uint64)
-    return key
+    parts = [_integer(p, f"seed {seed!r}", least=0) for p in np.ravel(np.array(seed, object))]
+    if not 1 <= len(parts) <= 2 or max(parts) >= 2**64:
+        raise ValueError(f"seed {seed!r} must be one integer or a pair, each in [0, 2**64)")
+    return np.array(parts + [0] * (2 - len(parts)), dtype=np.uint64)
 
 
 def gaussian_draws(n: int, seed) -> np.ndarray:
     """n standard-normal draws from the documented reproducible generator.
 
-    Uniforms come from Philox4x64 keyed by ``seed`` (an integer or a pair,
-    zero-padded to the two 64-bit key words); each consecutive uniform pair
-    (u1, u2) yields two draws by Box-Muller with radius
-    ``sqrt(-2*log(1 - u1))`` (the shift keeps the log argument in (0, 1])
-    and angle ``2*pi*u2``; cos/sin draws are interleaved.
+    Uniforms come from Philox4x64 keyed by ``seed``, one integer or a pair in
+    [0, 2**64) (not ``bool``), zero-padded to the two 64-bit key words; each
+    consecutive uniform pair (u1, u2) yields two draws by Box-Muller with radius
+    ``sqrt(-2*log(1 - u1))`` (the shift keeps the log argument in (0, 1]) and
+    angle ``2*pi*u2``; cos/sin draws are interleaved.
     """
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
     m = (n + 1) // 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, _finite, _integer, _positive
 
 REAL = "real"
 COMPLEX = "complex"
@@ -39,13 +39,10 @@ class LinearOperator:
     """
 
     def __init__(self, domain_dim: int, codomain_dim: int, field: str):
-        for dim in (domain_dim, codomain_dim):
-            if not isinstance(dim, (int, np.integer)) or dim <= 0:
-                raise ValueError(f"operator dimensions must be positive integers, got {dim!r}")
+        self.domain_dim = _integer(domain_dim, "domain_dim")
+        self.codomain_dim = _integer(codomain_dim, "codomain_dim")
         if field not in (REAL, COMPLEX):
             raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field!r}")
-        self.domain_dim = int(domain_dim)
-        self.codomain_dim = int(codomain_dim)
         self.field = field
 
     @property
@@ -103,9 +100,7 @@ class DenseOperator(LinearOperator):
         if a.ndim != 2:
             raise ValueError("entries must be a 2-D array")
         field = COMPLEX if np.iscomplexobj(a) else REAL
-        a = a.astype(_FIELD_DTYPE[field])
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite (no NaN or infinity)")
+        a = _finite(a.astype(_FIELD_DTYPE[field]), "entries")
         super().__init__(domain_dim=a.shape[1], codomain_dim=a.shape[0], field=field)
         self.entries = a
         self._adjoint_entries = a.conj().T
@@ -140,8 +135,7 @@ class DftFrameOperator(LinearOperator):
     """
 
     def __init__(self, signal_len: int, coef_len: int):
-        if coef_len < signal_len:
-            raise ValueError("coef_len must be >= signal_len for a frame")
+        _integer(coef_len, "coef_len", least=_integer(signal_len, "signal_len"))
         super().__init__(domain_dim=coef_len, codomain_dim=signal_len, field=COMPLEX)
         self.signal_len = signal_len
         self.coef_len = coef_len
@@ -223,9 +217,9 @@ class StftFrameOperator(LinearOperator):
     """
 
     def __init__(self, signal_len: int, segment_len: int = 64):
-        if signal_len <= 0:
-            raise ValueError("signal_len must be positive")
-        if segment_len <= 0 or segment_len % 4 != 0:
+        signal_len = _integer(signal_len, "signal_len")
+        segment_len = _integer(segment_len, "segment_len")
+        if segment_len % 4 != 0:
             raise ValueError("segment_len must be a positive multiple of 4")
         hop = segment_len // 4
         # frames at offsets k*hop for k in [-3, floor((L-1)/hop)] cover every
@@ -278,9 +272,7 @@ class ScaledOperator(LinearOperator):
     """A real scalar multiple of another operator."""
 
     def __init__(self, op: LinearOperator, scale: float):
-        scale = float(scale)
-        if not np.isfinite(scale):
-            raise ValueError("scale must be finite")
+        scale = float(_finite(scale, "scale"))
         super().__init__(op.domain_dim, op.codomain_dim, op.field)
         self.base = op
         self.scale = scale
@@ -304,7 +296,8 @@ def estimate_gram_norm(
     seeded random vector so repeated calls give identical results.  Stops
     when the eigen-residual ``||G z - theta z||`` drops below ``tol * theta``,
     which bounds the distance from ``theta`` to an eigenvalue of the Gram
-    operator.
+    operator.  ``tol`` must be positive and finite and ``max_iter`` an
+    integer of at least 1 (``ValueError`` otherwise).
 
     Raises
     ------
@@ -312,10 +305,8 @@ def estimate_gram_norm(
         If the residual test is not met within ``max_iter`` iterations; the
         best estimate so far is attached as ``err.best``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _positive(tol, "tol")
+    max_iter = _integer(max_iter, "max_iter")
     rng = np.random.default_rng(0x5EED)
     z = rng.standard_normal(op.domain_dim)
     if op.field == COMPLEX:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, _finite, _integer, _positive
 from .operators import COMPLEX, LinearOperator, ScaledOperator
 from .solvers import SolveConfig, _solve_block
 
@@ -39,7 +39,8 @@ class GmcPenalty:
     """A generalized Huber / GMC penalty parameterized by the operator B.
 
     ``inner_tol`` is the sup-norm fixed-point tolerance of the inner
-    shrinkage iteration, ``inner_max_iter`` its integer iteration budget.
+    shrinkage iteration, positive and finite, and ``inner_max_iter`` its
+    iteration budget, an integer of at least 1 (``ValueError`` otherwise).
     ``gram_norm``, the squared spectral norm B declares, is taken once at
     construction, and every inner solve steps from it; at 0 the inner
     minimum is 0 without a solve.
@@ -51,10 +52,8 @@ class GmcPenalty:
     gram_norm: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.inner_tol > 0):
-            raise ValueError("inner_tol must be positive")
-        if not isinstance(self.inner_max_iter, (int, np.integer)) or self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be an integer of at least 1")
+        _positive(self.inner_tol, "inner_tol")
+        _integer(self.inner_max_iter, "inner_max_iter")
         object.__setattr__(self, "gram_norm", self.b_op.gram_norm())
 
     @property
@@ -86,8 +85,7 @@ def build_b_from_a(a_op: LinearOperator, lam: float, gamma: float) -> GmcPenalty
     [0, 1] is rejected because that guarantee is lost.  The inner solve keeps
     ``GmcPenalty``'s defaults: tolerance 1e-10, 100 000 iterations.
     """
-    if not (lam > 0):
-        raise ValueError("lam must be positive")
+    _positive(lam, "lam")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1] to preserve cost convexity")
     scale = np.sqrt(gamma / lam)
@@ -100,8 +98,7 @@ def _as_columns(pen: GmcPenalty, x) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] != pen.domain_dim or x.shape[1] == 0:
         raise ValueError(f"expected vectors of length {pen.domain_dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite (it holds a NaN or an infinity)")
+    _finite(x, "x")
     dtype = np.complex128 if (pen.b_op.field == COMPLEX or np.iscomplexobj(x)) else np.float64
     return x.astype(dtype)
 
@@ -232,15 +229,12 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
         raise ValueError(f"y must have shape ({a_op.codomain_dim},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite (it holds a NaN or an infinity)")
-    if not (0 < lam < np.inf):
-        raise ValueError("lam must be positive and finite")
+    _finite(y, "y")
+    _positive(lam, "lam")
     xs = np.asarray(xs)
     if xs.size == 0:
         raise ValueError(f"expected vectors of length {a_op.domain_dim}, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x must be finite (it holds a NaN or an infinity)")
+    _finite(xs, "x")
     r = a_op.forward_multi(xs) - y[:, None]
     data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
     if gamma == 0.0:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import _finite, _positive
+
 
 @dataclass(frozen=True)
 class ScalarPenaltyParams:
@@ -29,10 +31,8 @@ class ScalarPenaltyParams:
     a: float
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError("lam must be positive")
-        if not (np.isfinite(self.b) and np.isfinite(self.a)):
-            raise ValueError("b and a must be finite")
+        _positive(self.lam, "lam")
+        _finite((self.b, self.a), "b and a")
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,7 @@ def scalar_minimize(y: float, params: ScalarPenaltyParams) -> float:
     convexity boundary ``b**2 == a**2/lam`` the firm threshold degenerates
     to a hard threshold.
     """
-    if not (params.a > 0):
-        raise ValueError("a must be positive")
+    _positive(params.a, "a")
     if not scalar_convexity_holds(params):
         raise ValueError(
             "convexity condition b**2 <= a**2/lam violated; "

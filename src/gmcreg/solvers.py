@@ -77,6 +77,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .exceptions import _finite, _integer, _positive
 from .operators import COMPLEX, DftFrameOperator, LinearOperator
 from .scalar import FirmParams, _shrink, firm, soft
 
@@ -98,7 +99,8 @@ class SolveConfig:
     step is always ``1.9/rho`` (see the module docstring).  ``tol`` bounds
     the sup-norm change, over both blocks, of the last step taken: the
     solve stops once a step moves no entry by more than ``tol``, or after
-    ``max_iter`` steps, an integer of at least 1.
+    ``max_iter`` steps.  ``lam`` and ``tol`` must be positive and finite,
+    ``max_iter`` an integer of at least 1 (``ValueError`` otherwise).
     """
 
     lam: float
@@ -107,14 +109,11 @@ class SolveConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not (0 < self.lam < np.inf):
-            raise ValueError("lambda must be positive and finite")
+        _positive(self.lam, "lambda")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1); gamma = 1 breaks the step-size bound")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer of at least 1")
+        _positive(self.tol, "tol")
+        _integer(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -248,10 +247,8 @@ def _solve_block(a_op, ys, lams, cfg, gram, callback=None):
     zero at ``gamma = 0``), and per column the iteration count and the last
     change.  A NaN change raises ``FloatingPointError``.
     """
-    if gram <= 0:
-        raise ValueError("operator Gram norm must be positive")
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("y must be finite (it holds a NaN or an infinity)")
+    _positive(gram, "operator Gram norm")
+    _finite(ys, "y")
     gamma = cfg.gamma
     mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * gram)
     op, weights, expand = a_op, None, np.asarray
@@ -452,8 +449,7 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
         raise ValueError("alphas and aty must have the same shape")
     if not np.all(alphas > 0):
         raise ValueError("alphas must be positive")
-    if not (lam > 0):
-        raise ValueError("lam must be positive")
+    _positive(lam, "lam")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
     a2 = alphas * alphas

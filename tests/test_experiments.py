@@ -56,7 +56,7 @@ class TestSignals:
         for grid in [(1.0, 0.5), (np.nan,), (np.inf,), (-1.0,), (0.0, 1.0)]:
             with pytest.raises(ValueError):
                 ExperimentSpec(lambda_grid=grid)
-        for realizations in [0, 2.5, 2.0]:
+        for realizations in [0, 2.5, 2.0, True]:
             with pytest.raises(ValueError, match="realizations"):
                 ExperimentSpec(realizations=realizations)
         for sizes in [dict(coef_len=256.0), dict(signal_len=100.0)]:
@@ -81,6 +81,8 @@ class TestSignals:
             dict(noise_sigma=np.inf),
             dict(noise_sigma=-1.0),
             dict(signal_len=1),  # make_chirp divides by signal_len - 1
+            dict(signal_len=400.0),
+            dict(seed=True),
         ]
         for kwargs in bad_stft_specs:
             with pytest.raises(ValueError):
@@ -122,7 +124,8 @@ class TestNoise:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "seed", [-1, 2**64, (3, -1), (0, 2**64), 1.5, (0, 2.9), "3", np.float64(7.0)]
+        "seed",
+        [-1, 2**64, (3, -1), (0, 2**64), 1.5, (0, 2.9), "3", np.float64(7.0), True, (), (True, 1)],
     )
     def test_seed_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -130,7 +133,7 @@ class TestNoise:
         with pytest.raises(ValueError, match="seed"):
             add_awgn(Signal(np.zeros(4)), 1.0, seed)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_spec_seed_out_of_range_raises(self, seed):
         with pytest.raises(ValueError, match="seed"):
             ExperimentSpec(seed=seed)

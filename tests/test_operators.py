@@ -311,12 +311,17 @@ class TestFrames:
             (DftFrameOperator, (100.0, 256)),
             (StftFrameOperator, (100, 64.0)),
             (StftFrameOperator, (100.0, 64)),
+            (DftFrameOperator, (True, 256)),
+            (StftFrameOperator, (True, 64)),
+            (StftFrameOperator, (100, True)),
         ],
     )
     def test_non_integer_sizes_raise(self, frame, sizes):
         # a float length must fail here, not inside an FFT at the first solve
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="integers") as err:
             frame(*sizes)
+        (bad,) = [s for s in sizes if type(s) is not int]
+        assert f"got {bad!r}" in str(err.value)  # the value passed, not a derived size
 
     def test_dft_needs_oversampling(self):
         with pytest.raises(ValueError):
@@ -367,10 +372,12 @@ class TestGramNorm:
 
     def test_bad_args(self):
         op = DenseOperator(np.eye(2))
-        with pytest.raises(ValueError):
-            estimate_gram_norm(op, tol=0.0)
-        with pytest.raises(ValueError):
-            estimate_gram_norm(op, max_iter=0)
+        for bad in (0.0, np.inf):
+            with pytest.raises(ValueError):
+                estimate_gram_norm(op, tol=bad)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                estimate_gram_norm(op, max_iter=bad)
 
 
 class TestDeclaredGramNorm:

@@ -363,13 +363,15 @@ class TestBuildFromA:
             build_b_from_a(a, lam=1.0, gamma=-0.1)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GmcPenalty(DenseOperator(np.eye(2)), inner_tol=0.0)
+        for bad in (0.0, np.inf):
+            with pytest.raises(ValueError):
+                GmcPenalty(DenseOperator(np.eye(2)), inner_tol=bad)
         with pytest.raises(ValueError):
             GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=0)
         # a float budget would fail only mid-solve, in range()
-        with pytest.raises(ValueError, match="inner_max_iter"):
-            GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=2.5)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="inner_max_iter"):
+                GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=bad)
         assert GmcPenalty(DenseOperator(np.eye(2)), inner_max_iter=np.int64(5)).inner_max_iter == 5
 
 

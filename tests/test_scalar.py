@@ -229,8 +229,9 @@ class TestConvexityCondition:
         assert scalar_convexity_holds(ScalarPenaltyParams(b=1.4, lam=2.0, a=2.0))
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ScalarPenaltyParams(b=1.0, lam=0.0, a=1.0)
+        for lam in (0.0, np.inf):
+            with pytest.raises(ValueError):
+                ScalarPenaltyParams(b=1.0, lam=lam, a=1.0)
 
 
 class TestScalarMinimize:

@@ -45,8 +45,9 @@ class TestConfig:
             SolveConfig(lam=1.0, gamma=1.0)
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            SolveConfig(lam=1.0, tol=0.0)
+        for bad in (0.0, np.inf):  # an infinite tol would stop at once with converged=True
+            with pytest.raises(ValueError):
+                SolveConfig(lam=1.0, tol=bad)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_lam_must_be_positive_and_finite(self, lam):
@@ -55,7 +56,7 @@ class TestConfig:
 
     def test_max_iter_must_be_an_integer(self):
         # a float budget would fail only mid-solve, in range()
-        for bad in (2.5, 3.0, np.float64(3.0)):
+        for bad in (2.5, 3.0, np.float64(3.0), True):
             with pytest.raises(ValueError, match="max_iter"):
                 SolveConfig(lam=1.0, max_iter=bad)
         for good in (3, np.int64(3), np.int32(3)):
