@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import ConvergenceError, _finite
+from .exceptions import ConvergenceError, _finite, _integer, _positive
 from .experiments import (
     METHODS,
     ExperimentSpec,
@@ -225,12 +225,11 @@ def cmd_eval(args) -> int:
     b_op = _read("B matrix", DenseOperator.from_csv, args.b_matrix)
     if b_op.domain_dim != 2:
         raise ValueError("grid evaluation needs a B matrix with exactly 2 columns")
+    _integer(args.grid_points, "--grid-points", least=2)
     # a finite span also rules out infinite bounds and an overflowing span
-    span = args.grid_max - args.grid_min
-    if args.grid_points < 2 or not (0 < span < np.inf):
-        raise ValueError("invalid grid (needs finite bounds with min < max)")
+    _positive(args.grid_max - args.grid_min, "the span from --grid-min to --grid-max")
     if args.grid_points**2 > _MAX_ROWS:
-        raise ValueError(f"the grid would write more than {_MAX_ROWS} rows")
+        raise ValueError(f"--grid-points: the grid would write more than {_MAX_ROWS} rows")
     pen = GmcPenalty(b_op)
     ticks = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     x1, x2 = np.meshgrid(ticks, ticks, indexing="ij")
@@ -247,10 +246,10 @@ def cmd_eval(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = FirmParams(lam=args.lam, mu=args.mu)
-    if args.points < 2 or not (0 < args.y_max < np.inf):
-        raise ValueError("invalid curve grid")
+    _integer(args.points, "--points", least=2)
+    _positive(args.y_max, "--y-max")
     if args.points > _MAX_ROWS:
-        raise ValueError(f"the curve would write more than {_MAX_ROWS} rows")
+        raise ValueError(f"--points: the curve would write more than {_MAX_ROWS} rows")
     y = np.linspace(-args.y_max, args.y_max, args.points)
     s = soft(y, args.lam)
     f = firm(y, params)

@@ -4,8 +4,9 @@ Every operator is a forward/adjoint pair applied to column blocks:
 ``forward_multi`` maps an (N, k) block of domain vectors to the (M, k) block
 of their images, ``adjoint_multi`` maps an (M, k) block back using the
 (conjugate) transpose.  ``forward`` and ``adjoint`` are the k = 1 case on 1-D
-vectors.  Operators are immutable after construction and their application
-is pure, so instances can be shared freely across threads.
+vectors.  Operators are immutable after construction (a dense operator
+keeps its Gram norm once taken, a value its entries fix) and their
+application is pure, so instances can be shared freely across threads.
 
 The DFT frame also has a private real-signal form on the half spectrum of
 Hermitian coefficient vectors, with weighted inner products; the solvers
@@ -92,7 +93,8 @@ class DenseOperator(LinearOperator):
     """Operator backed by an explicit M x N array of finite entries.
 
     The reference that oracles and tests compare matrix-free operators
-    against; ``gram_norm`` is exact, by LAPACK's SVD of the entries.
+    against; ``gram_norm`` is exact, by LAPACK's SVD of the entries, taken
+    on the first call and then kept.
     """
 
     def __init__(self, entries):
@@ -104,6 +106,7 @@ class DenseOperator(LinearOperator):
         super().__init__(domain_dim=a.shape[1], codomain_dim=a.shape[0], field=field)
         self.entries = a
         self._adjoint_entries = a.conj().T
+        self._gram = None
 
     @classmethod
     def from_csv(cls, path) -> "DenseOperator":
@@ -112,7 +115,9 @@ class DenseOperator(LinearOperator):
         return cls(a)
 
     def gram_norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2) ** 2)
+        if self._gram is None:
+            self._gram = float(np.linalg.svd(self.entries, compute_uv=False)[0] ** 2)
+        return self._gram
 
     def forward_multi(self, xs):
         return self.entries @ _columns(xs, self.domain_dim)

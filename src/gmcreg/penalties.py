@@ -17,7 +17,7 @@ B^T B is dominated by the Gram matrix of the data operator (see
 There is no closed form for the inner minimum.  It is the l1
 least-squares problem on B with data ``B x`` and weight 1, so it is
 ``ista_solve`` on B, with the step ``1.9/||B^T B||_2`` of every solve taken
-from the norm the penalty holds.
+from the norm B declares.
 ``cost_value`` adds the data fit to the penalty to give the objective the
 solvers minimize.  Penalty objects are immutable and evaluation is pure, so
 they can be shared across threads.
@@ -25,7 +25,7 @@ they can be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,20 +41,19 @@ class GmcPenalty:
     ``inner_tol`` is the sup-norm fixed-point tolerance of the inner
     shrinkage iteration, positive and finite, and ``inner_max_iter`` its
     iteration budget, an integer of at least 1 (``ValueError`` otherwise).
-    ``gram_norm``, the squared spectral norm B declares, is taken once at
-    construction, and every inner solve steps from it; at 0 the inner
-    minimum is 0 without a solve.
+    Every inner solve steps from the squared spectral norm
+    ``b_op.gram_norm()``; construction asks for it, so an operator that
+    declares none fails there.  At 0 the inner minimum is 0 without a solve.
     """
 
     b_op: LinearOperator
     inner_tol: float = 1e-10
     inner_max_iter: int = 100_000
-    gram_norm: float = field(init=False)
 
     def __post_init__(self):
         _positive(self.inner_tol, "inner_tol")
         _integer(self.inner_max_iter, "inner_max_iter")
-        object.__setattr__(self, "gram_norm", self.b_op.gram_norm())
+        self.b_op.gram_norm()
 
     @property
     def domain_dim(self) -> int:
@@ -113,21 +112,20 @@ def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
     """min_v ||v||_1 + 0.5*||B(x - v)||^2 for every column x of ``xs``.
 
-    One block run of ``ista_solve`` on B with data ``B x`` and weight 1,
-    stepping from the held ``pen.gram_norm``; a single column gets its
-    bits.  Its safeguard keeps an extrapolated point only where the
-    residual norm shrinks, so the objective need not decrease
-    monotonically; each column stops at its own tolerance.
+    One block run of ``ista_solve`` on B with data ``B x`` and weight 1; a
+    single column gets its bits.  Its safeguard keeps an extrapolated point
+    only where the residual norm shrinks, so the objective need not
+    decrease monotonically; each column stops at its own tolerance.
     Returns (v, values, iterations, residual), the last two the largest
     over the columns.  The ``ConvergenceError`` payload holds one column
     per query point, or the 1-D vector and a float when ``single``.
     """
-    if pen.gram_norm == 0.0:
+    if pen.b_op.gram_norm() == 0.0:
         # B = 0: the minimum is 0 at v = 0
         return np.zeros_like(xs), np.zeros(xs.shape[1]), 0, 0.0
     cfg = SolveConfig(1.0, tol=pen.inner_tol, max_iter=pen.inner_max_iter)
     bx, ones = pen.b_op.forward_multi(xs), np.ones(xs.shape[1])
-    v, _, iters, resids = _solve_block(pen.b_op, bx, ones, cfg, pen.gram_norm)
+    v, _, iters, resids = _solve_block(pen.b_op, bx, ones, cfg)
     values, resid = _inner_values(pen, xs, v), float(resids.max())
     if resid <= pen.inner_tol:
         return v, values, int(iters.max()), resid
@@ -211,10 +209,13 @@ def in_quadratic_region(pen: GmcPenalty, x) -> bool:
 def cost_value(a_op: LinearOperator, y, lam: float, gamma: float, x) -> float:
     """Objective value ``0.5*||y - A x||^2 + lam * gmc_B(x)``, B from A.
 
-    ``gamma = 0`` reduces to the l1 objective (no inner solve needed).
+    ``gamma = 0`` reduces to the l1 objective (no inner solve needed).  ``x``
+    must be one vector (``ValueError`` otherwise).
     """
-    xs = np.asarray(x)[:, None]
-    return float(cost_value_many(a_op, y, lam, gamma, xs)[0])
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"expected vectors of length {a_op.domain_dim}, got shape {x.shape}")
+    return float(cost_value_many(a_op, y, lam, gamma, x[:, None])[0])
 
 
 def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np.ndarray:

@@ -60,9 +60,8 @@ matrix-vector product, and the Anderson steps can amplify that rounding
 difference, so the column can stop at another iteration and point within
 its tolerance.  A written-out column leaves the block in the same
 iteration, so it costs no further T or history work.  The step comes
-from the Gram norm the caller passes: the operator's declared
-``gram_norm``, or the one a ``GmcPenalty`` took at construction, never a
-power-iteration estimate.  The penalties module runs the generalized-Huber
+from the operator's declared ``gram_norm``, never a power-iteration
+estimate.  The penalties module runs the generalized-Huber
 inner problem on the same kernel, and holds the objective ``cost_value``.
 An iterate that turns NaN raises ``FloatingPointError``.
 
@@ -117,16 +116,6 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
-class SaddleState:
-    """One iterate of the saddle-point iteration (primal x, auxiliary v)."""
-
-    x: np.ndarray
-    v: np.ndarray
-    iter: int
-    delta: float
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Solver outcome; ``converged`` means the final ``delta <= tol``."""
 
@@ -141,7 +130,7 @@ def gmc_solve(
     a_op: LinearOperator,
     y,
     cfg: SolveConfig,
-    callback: Optional[Callable[[SaddleState], None]] = None,
+    callback: Optional[Callable[[SolveReport], None]] = None,
 ) -> SolveReport:
     """Minimize ``0.5*||y - A x||^2 + lam * gmc_B(x)`` with B built from A.
 
@@ -151,9 +140,10 @@ def gmc_solve(
     NaN or infinite entry in ``y`` raises ``ValueError``, and an iterate
     that turns NaN raises ``FloatingPointError``.
 
-    ``callback`` receives each ``SaddleState`` after it is formed: T of
-    the iteration's accepted point, as copies, with its change ``delta``.
-    It runs with numpy's divide and invalid warnings off, as in the loop.
+    ``callback`` receives, after each iteration, the ``SolveReport`` the
+    solve would return if it stopped there: T of the iteration's accepted
+    point, as copies, with its change ``delta``.  It runs with numpy's
+    divide and invalid warnings off, as in the loop.
     """
     return _solve_one(a_op, y, cfg, callback)
 
@@ -163,7 +153,7 @@ def ista_solve(
     y,
     lam: float,
     cfg: Optional[SolveConfig] = None,
-    callback: Optional[Callable[[SaddleState], None]] = None,
+    callback: Optional[Callable[[SolveReport], None]] = None,
 ) -> SolveReport:
     """Accelerated ISTA for ``0.5*||y - A x||^2 + lam*||x||_1``.
 
@@ -203,14 +193,14 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     if len({(c.gamma, c.tol, c.max_iter) for c in cfgs}) != 1:
         raise ValueError("cfgs must agree on gamma, tol and max_iter")
     lams = [c.lam for c in cfgs]
-    return _reports(cfgs[0].tol, *_solve_block(a_op, ys, lams, cfgs[0], a_op.gram_norm()))
+    return _reports(cfgs[0].tol, *_solve_block(a_op, ys, lams, cfgs[0]))
 
 
 def _solve_one(a_op, y, cfg, callback) -> SolveReport:
     y = np.asarray(y)
     if y.shape != (a_op.codomain_dim,):
         raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    block = _solve_block(a_op, y[:, None], [cfg.lam], cfg, a_op.gram_norm(), callback)
+    block = _solve_block(a_op, y[:, None], [cfg.lam], cfg, callback)
     (report,) = _reports(cfg.tol, *block)
     return report
 
@@ -229,24 +219,24 @@ def _reports(tol, x, v, iterations, delta) -> tuple[SolveReport, ...]:
     )
 
 
-def _solve_block(a_op, ys, lams, cfg, gram, callback=None):
+def _solve_block(a_op, ys, lams, cfg, callback=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
     ``cfg`` gives the shared ``gamma``, ``tol`` and ``max_iter``; its
-    ``lam`` is not read.  ``gram`` is the Gram norm of A the caller holds,
-    and the step is ``1.9/rho`` from it.  A real block on a DFT frame runs
-    on the half spectrum (see the module docstring).  The block g holds T
-    of each column's current point: the pair (x, v), shape (2, N, k), at
-    ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.  Each iteration
-    is one accepted step per column, ``_Anderson``'s safeguarded step (see
-    the module docstring).  A column whose change drops to ``tol``, or
-    whose budget runs out, is written out and leaves the block in the same
-    iteration.  ``callback`` receives column 0's ``SaddleState`` each
-    iteration; only single solves pass one.  Returns full-length (N, k)
-    blocks x and v, which ``full`` forms as it forms the callback states (v
-    zero at ``gamma = 0``), and per column the iteration count and the last
-    change.  A NaN change raises ``FloatingPointError``.
+    ``lam`` is not read.  The step is ``1.9/rho`` from ``a_op.gram_norm()``.
+    A real block on a DFT frame runs on the half spectrum (see the module
+    docstring).  The block g holds T of each column's current point: the
+    pair (x, v), shape (2, N, k), at ``gamma > 0`` and x alone, (1, N, k),
+    at ``gamma = 0``.  Each iteration is one accepted step per column,
+    ``_Anderson``'s safeguarded step (see the module docstring).  A column
+    whose change drops to ``tol``, or whose budget runs out, is written out
+    and leaves the block in the same iteration.  ``callback`` receives
+    column 0's ``SolveReport`` each iteration; only single solves pass one.
+    Returns full-length (N, k) blocks x and v, formed by ``full`` as the
+    callback reports are (v zero at ``gamma = 0``), and per column the
+    iteration count and last change; a NaN change raises ``FloatingPointError``.
     """
+    gram = a_op.gram_norm()
     _positive(gram, "operator Gram norm")
     _finite(ys, "y")
     gamma = cfg.gamma
@@ -268,7 +258,7 @@ def _solve_block(a_op, ys, lams, cfg, gram, callback=None):
     deltas = np.zeros(k)
     thr = mu * np.array([lams], dtype=np.float64)
     live = np.arange(k)  # original index of each block column
-    anderson = _Anderson(g, _MEMORY, weights)
+    anderson = _Anderson(g, weights)
 
     def apply(z, cols):
         return _saddle_step(op, z, ys[:, cols], mu, gamma, thr[:, cols])
@@ -280,8 +270,7 @@ def _solve_block(a_op, ys, lams, cfg, gram, callback=None):
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
-                x, v = full(g[..., 0])
-                callback(SaddleState(x=x.copy(), v=v.copy(), iter=i, delta=float(delta[0])))
+                callback(*_reports(cfg.tol, *full(g[..., :1]), [i], delta))
             done = (delta <= cfg.tol) | (i == cfg.max_iter)
             if not done.any():
                 continue
@@ -312,8 +301,8 @@ def _saddle_step(a_op, z, ys, mu, gamma, thr):
 class _Anderson:
     """Safeguarded type-II Anderson acceleration of T on a (1 or 2, N, k) block.
 
-    Each column keeps its last ``m`` steps between accepted points z, or as
-    many as a row has floats if that is fewer: the change dF of the
+    Each column keeps its last ``_MEMORY`` steps between accepted points z,
+    or as many as a row has floats if that is fewer: the change dF of the
     residual f = T(z) - z and dG of T(z), flattened to real rows (complex
     entries as (re, im) pairs) in ring slots that all columns share, with
     ``gram`` = dF^T dF, which gains one row per step, and ``rhs`` = dF^T f,
@@ -321,11 +310,12 @@ class _Anderson:
     current history.  Clearing a history zeroes its ``gram`` and ``rhs``
     and unmarks its slots, whose stale steps then stay out of every new
     Gram row; their Anderson coefficients solve to zero, so they add
-    nothing to the extrapolation either.  The history and one row buffer,
-    which holds each column's point and then its residual, are allocated
-    once per block.  With ``weights``, the Gram rows and squared
-    norms are weighted sums over the entries of a column; the sup-norm
-    change and the extrapolation stay unweighted.
+    nothing to the extrapolation either.  The history and one (k, blocks,
+    N) buffer ``z``, which holds each column's point and then its residual,
+    are allocated once per block; ``step`` views ``z`` as real rows.  With
+    ``weights``, the Gram rows and squared norms are weighted sums over the
+    entries of a column; the sup-norm change and the extrapolation stay
+    unweighted.
 
     The products with the history are einsums over whole (k, m, width)
     slot stacks, and squared norms sum whole rows: for those shapes a
@@ -333,11 +323,10 @@ class _Anderson:
     the bits of its solo solve.
     """
 
-    def __init__(self, g, m, weights=None):
+    def __init__(self, g, weights=None):
         blocks, n, k = g.shape
-        self.dtype, self.shape = g.dtype, (blocks, n)
         width = g[..., 0].size * g.itemsize // 8  # float64s per column
-        m = min(m, width)  # more changes than a row has floats are linearly dependent
+        m = min(_MEMORY, width)  # more changes than a row has floats are linearly dependent
         # the weight of each float of a row: entries are (blocks, n), each of
         # itemsize // 8 floats
         self.w = None if weights is None else np.repeat(np.tile(weights, blocks), g.itemsize // 8)
@@ -347,41 +336,31 @@ class _Anderson:
         self.rhs = np.zeros((k, m))
         self.valid = np.zeros((k, m), dtype=bool)
         self.eye = np.eye(m)
-        self.f = np.zeros((k, width))  # rows of the residual at each current point
-        self.norm2 = np.zeros(k)  # and their squared 2-norms
+        self.z = np.zeros((k, blocks, n), dtype=g.dtype)
+        self.norm2 = np.zeros(k)  # squared 2-norms of the residuals
         self.slot = -1  # the next slot to fill; -1 before the first point
-        self._view_rows()
-
-    def _view_rows(self):
-        """(k, blocks, N) and (blocks, N, k) complex views of the row buffer."""
-        self.f_cols = self.f.view(self.dtype).reshape(len(self.f), *self.shape)
-        self.f_block = self.f_cols.transpose(1, 2, 0)
 
     def _norms(self, f):
         """Squared 2-norms and sup-norms of the residual rows ``f``."""
         f2 = f * f if self.w is None else f * f * self.w
         return (np.add.reduce(f2, axis=1),
-                np.maximum.reduce(np.abs(f.view(self.dtype)), axis=1, initial=0.0))
+                np.maximum.reduce(np.abs(f.view(self.z.dtype)), axis=1, initial=0.0))
 
-    def _extrapolate(self, g):
-        """Write each column's next point to try into the row buffer.
+    def _extrapolate(self, g, rows):
+        """Write each column's next point to try into ``z``, whose real view is ``rows``.
 
         The coefficients c solve ``(gram + ridge*I) c = rhs`` with a ridge of
-        ``_RIDGE * trace(gram)``; the point is ``g - dG c``.  Columns with
-        no recorded change of f try ``g`` itself.  Returns where the point
-        is an Anderson point.
+        ``_RIDGE * trace(gram)``; the point is ``g - dG c``.  A column with no
+        recorded change of f has zero ``gram`` and ``rhs`` and a ridge of 1,
+        so c = 0 and its point is ``g`` itself: T writes its zeros as +0.0,
+        so no sign bit flips.  Returns where the point is an Anderson point.
         """
         trace = self.gram.trace(axis1=1, axis2=2)
         use = trace > 0.0
-        zc, gc = self.f_cols, g.transpose(2, 0, 1)
-        if use.any():
-            ridge = np.where(use, _RIDGE * trace, 1.0)
-            h = self.gram + ridge[:, None, None] * self.eye
-            coef = np.linalg.solve(h, self.rhs[..., None])[..., 0]
-            np.einsum("km,kmw->kw", coef, self.dg, out=self.f)
-            np.subtract(gc, zc, out=zc)
-        if not use.all():
-            zc[~use] = gc[~use]
+        h = self.gram + np.where(use, _RIDGE * trace, 1.0)[:, None, None] * self.eye
+        coef = np.linalg.solve(h, self.rhs[..., None])[..., 0]
+        np.einsum("km,kmw->kw", coef, self.dg, out=rows)
+        np.subtract(g.transpose(2, 0, 1), self.z, out=self.z)
         return use
 
     def step(self, g, apply):
@@ -393,26 +372,26 @@ class _Anderson:
         ``g`` and clears its history, which then starts from that step.
         Returns T of the new points and their sup-norm changes.
         """
-        s = self.slot
+        s, z = self.slot, self.z
+        f = z.reshape(len(z), -1).view(np.float64)  # z as real rows, a view
         if s >= 0:  # the extrapolation reads no dF: park the old residual in slot s
-            self.df[:, s] = self.f
-        use = self._extrapolate(g)
-        f, fc = self.f, self.f_cols
-        g_next = apply(self.f_block, slice(None))
+            self.df[:, s] = f
+        use = self._extrapolate(g, f)
+        g_next = apply(z.transpose(1, 2, 0), slice(None))
         gc, g_nextc = g.transpose(2, 0, 1), g_next.transpose(2, 0, 1)
-        np.subtract(g_nextc, fc, out=fc)  # the buffer now holds the residual
+        np.subtract(g_nextc, z, out=z)  # the buffer now holds the residual
         norm2, delta = self._norms(f)
         redo = use & ~(norm2 < self.norm2)
         if redo.any():
             g_next[..., redo] = apply(g[..., redo], redo)
-            fc[redo] = g_nextc[redo] - gc[redo]
+            z[redo] = g_nextc[redo] - gc[redo]
             norm2[redo], delta[redo] = self._norms(f[redo])
             self.gram[redo] = self.rhs[redo] = 0.0
             self.valid[redo] = False
         if s >= 0:
             self.valid[:, s] = True
             df = np.subtract(f, self.df[:, s], out=self.df[:, s])
-            np.subtract(g_nextc, gc, out=self.dg[:, s].view(self.dtype).reshape(fc.shape))
+            np.subtract(g_nextc, gc, out=self.dg[:, s].view(z.dtype).reshape(z.shape))
             row = np.einsum("kmw,kw->km", self.df, df if self.w is None else df * self.w)
             row = np.where(self.valid, row, 0.0)
             self.gram[:, s, :] = self.gram[:, :, s] = row
@@ -427,11 +406,10 @@ class _Anderson:
         """Move the kept columns to the front, in place, and drop the rest."""
         n = np.count_nonzero(keep)
         first = np.argmin(keep)  # the columns before the first dropped one stay put
-        for name in ("df", "dg", "gram", "rhs", "valid", "f", "norm2"):
+        for name in ("df", "dg", "gram", "rhs", "valid", "z", "norm2"):
             a = getattr(self, name)
             a[first:n] = a[first:][keep[first:]]
             setattr(self, name, a[:n])
-        self._view_rows()
 
 
 def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
@@ -473,10 +451,11 @@ def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:
     materialized by applying the operator to basis vectors and the restricted
     normal equations are solved (least-norm if singular).  Entries off the
     support stay zero.  ``x`` must have the operator's domain length and
-    ``y`` its codomain length (``ValueError`` otherwise).
+    ``y`` its codomain length, and both must be finite (``ValueError``
+    otherwise).
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
+    x = _finite(x, "x")
+    y = _finite(y, "y")
     if x.shape != (a_op.domain_dim,) or y.shape != (a_op.codomain_dim,):
         raise ValueError(
             f"need x of shape ({a_op.domain_dim},) and y of shape ({a_op.codomain_dim},),"

@@ -139,7 +139,7 @@ def test_criterion_2_generalized_huber_suite():
         n = int(rng.integers(1, 7))
         pen = draw_pen(n)
         x = rng.normal(size=n) * 2.0
-        alpha = np.sqrt(pen.gram_norm)
+        alpha = np.sqrt(pen.b_op.gram_norm())
         assert eval_generalized_huber(pen, x).value <= np.sum(scaled_huber(x, alpha)) + 1e-6
 
     # gradient: finite differences to 1e-5, sup-norm bound 1 + 1e-8
@@ -310,7 +310,7 @@ def test_criterion_6_ista_reduction():
         assert len(gmc_states) == len(ista_states)
         assert len(gmc_states) == 500 or gmc_states[-1].delta == 0.0
         for p, q in zip(gmc_states, ista_states):
-            assert np.array_equal(p.x, q.x)
+            assert np.array_equal(p.x_star, q.x_star)
 
     _finish("criterion 6 (ISTA reduction, bit-identical)", 60.0, t0)
 

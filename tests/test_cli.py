@@ -28,11 +28,13 @@ class TestThreshold:
     @pytest.mark.parametrize(
         "flags",
         [["--y-max", "inf"], ["--y-max", "nan"], ["--mu", "inf"], ["--lambda", "nan"],
-         ["--points", "100000000000"]],
+         ["--points", "100000000000"], ["--y-max", "0"]],
     )
-    def test_non_finite_flag_is_usage_error(self, tmp_path, flags):
+    def test_non_finite_flag_is_usage_error(self, tmp_path, flags, capsys):
         assert main(["threshold", *flags, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+        if flags[0] in ("--y-max", "--points"):
+            assert flags[0] in capsys.readouterr().err  # the message names the flag
 
     def test_large_mu_matches_soft(self, tmp_path):
         out = tmp_path / "o"
@@ -109,13 +111,15 @@ class TestEval:
     @pytest.mark.parametrize(
         "flags",
         [["--grid-min=-inf"], ["--grid-max", "inf"], ["--grid-min", "nan"],
-         ["--grid-min=-1e308", "--grid-max", "1e308"], ["--grid-points", "200000"]],
+         ["--grid-min=-1e308", "--grid-max", "1e308"], ["--grid-points", "200000"],
+         ["--grid-min", "1", "--grid-max", "1"]],
     )
-    def test_non_finite_grid_is_usage_error(self, tmp_path, flags):
+    def test_non_finite_grid_is_usage_error(self, tmp_path, flags, capsys):
         b_path = self.write_b(tmp_path, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         out = tmp_path / "o"
         assert main(["eval", "--b-matrix", str(b_path), *flags, "--out", str(out)]) == 2
         assert not out.exists()
+        assert flags[0].split("=")[0] in capsys.readouterr().err  # the message names the flag
 
     def test_close_singular_values(self, tmp_path):
         # B^T B = diag(1, 0.99998): too close for power iteration to separate

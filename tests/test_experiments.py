@@ -7,6 +7,7 @@ from gmcreg import (
     Signal,
     SolveConfig,
     StftDemoSpec,
+    StftFrameOperator,
     add_awgn,
     aggregate,
     coefficient_clusters,
@@ -132,6 +133,8 @@ class TestNoise:
             gaussian_draws(4, seed)
         with pytest.raises(ValueError, match="seed"):
             add_awgn(Signal(np.zeros(4)), 1.0, seed)
+        with pytest.raises(ValueError, match="seed"):
+            add_awgn(Signal(np.zeros(4)), 0.0, seed)  # checked at every sigma
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_spec_seed_out_of_range_raises(self, seed):
@@ -150,6 +153,12 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             add_awgn(Signal(np.zeros(3)), -1.0, 0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+                add_awgn(Signal(np.zeros(3)), sigma, 0)
+        for n in (-1, 2.5):
+            with pytest.raises(ValueError, match="n: expected integers"):
+                gaussian_draws(n, 0)
 
 
 class TestDenoiseFrame:
@@ -286,11 +295,13 @@ class TestCsvFormat:
 
 class TestStftDemo:
     def test_clean_chirp_small_lambda(self):
-        spec = StftDemoSpec(noise_sigma=0.0)
-        rep = run_stft_demo(spec, lam_l1=1e-4, lam_gmc=1e-4)
-        assert rep.converged_l1 and rep.converged_gmc
-        assert rep.rmse_l1 <= 1e-3
-        assert rep.rmse_gmc <= 1e-3
+        spec = StftDemoSpec()
+        clean = make_chirp(spec)
+        frame = StftFrameOperator(spec.signal_len, spec.segment_len)
+        for method in ("l1", "gmc"):
+            res = denoise_frame(clean, frame, method, 1e-4, 0.7)
+            assert res.converged
+            assert rmse(res.recon, clean) <= 1e-3
 
     def test_default_run_sparser_gmc(self):
         rep = run_stft_demo(StftDemoSpec())

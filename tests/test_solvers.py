@@ -127,7 +127,7 @@ class TestGmcSolve:
                 xs = [np.zeros(8)]
                 head = gmc_solve(
                     a, y, SolveConfig(lam=0.4, gamma=gamma, max_iter=300, tol=1e-300),
-                    callback=lambda s: xs.append(s.x.copy()),
+                    callback=lambda s: xs.append(s.x_star),
                 )
                 trace = cost_value_many(a, y, 0.4, gamma, np.stack(xs, axis=1))
                 assert trace is not None and trace.shape[0] == head.iterations + 1
@@ -145,7 +145,7 @@ class TestGmcSolve:
         runs = []
         for _ in range(2):
             xs = []
-            gmc_solve(a, y, cfg, callback=lambda s: xs.append(s.x.copy()))
+            gmc_solve(a, y, cfg, callback=lambda s: xs.append(s.x_star))
             runs.append(xs)
         assert all(np.array_equal(p, q) for p, q in zip(*runs))
 
@@ -235,8 +235,8 @@ class TestDenseOracle:
         expected = dense_saddle_steps(entries, y, lam, gamma, mu, gmcreg.solvers._MEMORY)
         assert len(states) == 150 or states[-1].delta == 0.0
         for s, (x, v, delta) in zip(states, expected):
-            assert s.x.tobytes() == x.tobytes()
-            assert s.v.tobytes() == v.tobytes()
+            assert s.x_star.tobytes() == x.tobytes()
+            assert s.v_star.tobytes() == v.tobytes()
             assert s.delta == delta
 
 
@@ -270,7 +270,7 @@ class TestInertialStability:
             peak = [0.0]
 
             def track(s):
-                peak[0] = max(peak[0], np.max(np.abs(s.x)), np.max(np.abs(s.v)))
+                peak[0] = max(peak[0], np.max(np.abs(s.x_star)), np.max(np.abs(s.v_star)))
 
             cfg = SolveConfig(lam=lam, gamma=gamma, tol=self.TOL)
             rep = gmc_solve(DenseOperator(entries), y, cfg, callback=track)
@@ -369,7 +369,7 @@ class TestAndersonProperties:
         peak = [0.0]
 
         def track(s):
-            peak[0] = max(peak[0], np.max(np.abs(s.x)), np.max(np.abs(s.v)))
+            peak[0] = max(peak[0], np.max(np.abs(s.x_star)), np.max(np.abs(s.v_star)))
 
         cfg = SolveConfig(lam, gamma, tol=self.TOL)
         assert gmc_solve(DenseOperator(entries), ys[:, 0], cfg, callback=track).converged
@@ -535,7 +535,8 @@ class TestHalfSpectrumSolves:
         gmc_solve(op, y.astype(complex), cfg, callback=full.append)
         assert len(half) == len(full) == 40
         for s, t in zip(half, full):
-            assert np.max(np.abs(s.x - t.x)) <= 1e-9 and np.max(np.abs(s.v - t.v)) <= 1e-9
+            assert np.max(np.abs(s.x_star - t.x_star)) <= 1e-9
+            assert np.max(np.abs(s.v_star - t.v_star)) <= 1e-9
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
     @pytest.mark.parametrize("m,n", [(20, 48), (13, 31)])
@@ -557,10 +558,10 @@ class TestHalfSpectrumSolves:
         without = gmc_solve(op, y, cfg)
         assert len(states) == with_cb.iterations == without.iterations
         for s in states:
-            assert s.x.shape == s.v.shape == (48,)
+            assert s.x_star.shape == s.v_star.shape == (48,)
         last = states[-1]
         for a, b in ((with_cb.x_star, without.x_star), (with_cb.v_star, without.v_star),
-                     (last.x, without.x_star), (last.v, without.v_star)):
+                     (last.x_star, without.x_star), (last.v_star, without.v_star)):
             assert a.tobytes() == b.tobytes()
         assert last.delta == without.delta == with_cb.delta
 
@@ -577,8 +578,8 @@ class TestIsta:
             a, y = random_instance(rng, 5, 8)
             cfg = SolveConfig(lam=0.3, gamma=0.0, tol=1e-300, max_iter=200)
             xs_g, xs_i = [], []
-            gmc_solve(a, y, cfg, callback=lambda s: xs_g.append(s.x.copy()))
-            rep = ista_solve(a, y, 0.3, cfg, callback=lambda s: xs_i.append(s.x.copy()))
+            gmc_solve(a, y, cfg, callback=lambda s: xs_g.append(s.x_star))
+            rep = ista_solve(a, y, 0.3, cfg, callback=lambda s: xs_i.append(s.x_star))
             assert_v_is_zero(rep)
             assert len(xs_g) == len(xs_i)
             assert all(np.array_equal(p, q) for p, q in zip(xs_g, xs_i))
@@ -589,8 +590,8 @@ class TestIsta:
         y = rng.normal(size=16)
         cfg = SolveConfig(lam=0.2, gamma=0.0, tol=1e-300, max_iter=100)
         xs_g, xs_i = [], []
-        gmc_solve(a, y, cfg, callback=lambda s: xs_g.append(s.x.copy()))
-        rep = ista_solve(a, y, 0.2, cfg, callback=lambda s: xs_i.append(s.x.copy()))
+        gmc_solve(a, y, cfg, callback=lambda s: xs_g.append(s.x_star))
+        rep = ista_solve(a, y, 0.2, cfg, callback=lambda s: xs_i.append(s.x_star))
         assert_v_is_zero(rep)
         assert all(np.array_equal(p, q) for p, q in zip(xs_g, xs_i))
 
@@ -686,6 +687,8 @@ class TestCostValue:
             cost_value(a, y, 0.5, gamma, np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             cost_value_many(a, y, 0.5, gamma, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="vectors of length 3"):
+            cost_value(a, np.ones(3), 0.5, gamma, 3.0)  # a scalar x
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -695,6 +698,8 @@ class TestCostValue:
             cost_value(a, [1.0, bad, 0.0], 0.5, gamma, np.zeros(3))
         with pytest.raises(ValueError, match="y must be finite"):
             cost_value_many(a, [1.0, bad, 0.0], 0.5, gamma, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="y must be finite"):
+            debias_on_support(a, [1.0, bad, 0.0], np.ones(3))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -704,6 +709,8 @@ class TestCostValue:
         xs[1, 1] = bad
         with pytest.raises(ValueError, match="x must be finite"):
             cost_value_many(a, np.ones(3), 0.5, gamma, xs)
+        with pytest.raises(ValueError, match="x must be finite"):
+            debias_on_support(a, np.ones(3), xs[:, 1])
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
