@@ -245,6 +245,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    _positive(args.lam, "--lambda")
+    _positive(args.mu, "--mu")
+    if not args.mu > args.lam:
+        raise ValueError(f"--mu must be greater than --lambda, got {args.mu!r} <= {args.lam!r}")
     params = FirmParams(lam=args.lam, mu=args.mu)
     _integer(args.points, "--points", least=2)
     _positive(args.y_max, "--y-max")

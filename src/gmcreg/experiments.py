@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import _finite, _integer
 from .operators import DftFrameOperator, LinearOperator, StftFrameOperator
-from .solvers import SolveConfig, debias_on_support, gmc_solve, solve_many
+from .solvers import SolveConfig, _l1_and_gmc, debias_on_support, gmc_solve
 
 METHODS = ("l1", "l1_debiased", "gmc")
 
@@ -301,8 +301,9 @@ def denoise_frame(
 ) -> DenoiseResult:
     """Estimate frame coefficients of a noisy signal and reconstruct.
 
-    Every method runs one ``gmc_solve``: ``"gmc"`` at ``gamma``, ``"l1"``
-    at ``gamma = 0``, which is ``ista_solve`` bit for bit, and
+    Every method runs one ``gmc_solve``: ``"gmc"`` at ``gamma``, started
+    from its own l1 solve, ``"l1"`` at ``gamma = 0``, which is
+    ``ista_solve`` bit for bit, and
     ``"l1_debiased"`` as ``"l1"`` then unregularized least squares on the
     support.  The reconstruction is the frame synthesis of the
     coefficients, real when the input signal is real.  Non-convergence is flagged, not raised.
@@ -336,8 +337,9 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     cell is one column of a ``solve_many`` block, one block run for l1
     (``gamma = 0``) and one for GMC, at ``denoise_frame``'s tolerance and
     budget, so each record matches ``denoise_frame`` on its cell.  The l1
-    solve is shared between the ``l1`` and ``l1_debiased`` rows.  A solver
-    that stops on its iteration budget still contributes its final
+    solve is shared between the ``l1`` and ``l1_debiased`` rows and is the
+    GMC block's start, as in ``gmc_solve``, so no cell is solved twice.  A
+    solver that stops on its iteration budget still contributes its final
     iterate; the cell is not fatal.
     """
     frame = DftFrameOperator(spec.signal_len, spec.coef_len)
@@ -350,17 +352,11 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     for first in range(0, len(cells), _SWEEP_BLOCK):
         block = cells[first : first + _SWEEP_BLOCK]
         ys = np.stack([noisy[r] for _, r in block], axis=1)
-        l1s, gmcs = (
-            solve_many(
-                frame,
-                ys,
-                [
-                    SolveConfig(lam, gamma, tol=_DENOISE_TOL, max_iter=_DENOISE_MAX_ITER)
-                    for lam, _ in block
-                ],
-            )
-            for gamma in (0.0, spec.gamma)
-        )
+        cfgs = [
+            SolveConfig(lam, spec.gamma, tol=_DENOISE_TOL, max_iter=_DENOISE_MAX_ITER)
+            for lam, _ in block
+        ]
+        l1s, gmcs = _l1_and_gmc(frame, ys, cfgs)
         for (lam, r), l1_rep, gmc_rep in zip(block, l1s, gmcs):
             y = noisy[r]
             deb_coef = debias_on_support(frame, y, l1_rep.x_star)

@@ -214,11 +214,12 @@ class StftFrameOperator(LinearOperator):
     holds at the boundaries.
 
     Real-signal solves run on the full coefficients, unlike on the DFT
-    frame.  The same half-spectrum form per segment left the GMC solve of
-    the noise-free chirp at lambda 1e-4 unconverged at its 40 000-iteration
-    budget (``delta`` 1.10e-6 against a tolerance of 1e-6), where the full
-    form converges at 39 852: that solve has almost no margin, and the
-    changed rounding tips it over.
+    frame.  The same half-spectrum form per segment was tried when the GMC
+    solve of the noise-free chirp at lambda 1e-4 still ran from 0 and the
+    full form converged at iteration 39 852 of its 40 000: the changed
+    rounding left it unconverged (``delta`` 1.10e-6 against a tolerance of
+    1e-6).  Started from its l1 answer, that GMC solve now takes 273
+    iterations, so the form has the margin to be tried again.
     """
 
     def __init__(self, signal_len: int, segment_len: int = 64):

@@ -78,8 +78,8 @@ def soft(y, lam):
 def _shrink(y, thr):
     """``soft`` without its checks, for the solver loop.
 
-    ``thr`` broadcasts against ``y``, e.g. (1, k) thresholds for an (N, k)
-    block.  A NaN stays NaN, so the solver can see it.  A complex zero
+    ``thr`` broadcasts against ``y``, e.g. (blocks, 1, k) thresholds for a
+    (blocks, N, k) block.  A NaN stays NaN, so the solver can see it.  A complex zero
     divides by zero in the branch ``np.where`` discards, so callers silence
     that warning with ``np.errstate``.
     """

@@ -106,41 +106,44 @@ def psd_factor(gram):
     return (vecs * np.sqrt(w)) @ vecs.T
 
 
-def dense_saddle_step(entries, y, lam, gamma, mu, p, q):
+def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q):
     """One forward-backward step T(p, q) of the two-block saddle recurrence.
 
-    With dense products and step ``mu``:
+    With dense products, the steps ``(a, b)`` and the thresholds ``(s, t)``:
 
-        x' = shrink(p - mu * A^H (A (p + gamma*(q - p)) - y), mu*lam)
-        v' = shrink(q - mu * gamma * A^H (A (q - p)), mu*lam)
+        x' = shrink(p - a * A^H (A (p + gamma*(q - p)) - y), s)
+        v' = shrink(q - b * A^H (A (q - p)), t)
 
-    where ``shrink`` zeroes entries of modulus <= t and moves the others
-    towards zero by t (complex entries keep their phase).  Returns the
-    stacked (x', v').
+    where ``shrink`` zeroes entries of modulus <= the threshold and moves
+    the others towards zero by it (complex entries keep their phase).  The
+    paper's step is ``a = 1.9/rho``, ``b = gamma*a`` and ``s = t = a*lam``;
+    a step of c*a on v, in the metric diag(I, I/c), has ``b = c*gamma*a``
+    and ``t = c*a*lam``.  Returns the stacked (x', v').
     """
     a = np.asarray(entries)
-    t = mu * lam
 
-    def shrink(z):
+    def shrink(z, t):
         m = np.abs(z)
         if np.iscomplexobj(z):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(m > t, (1.0 - t / m) * z, 0.0 + 0.0j)
         return np.where(m > t, (m - t) * np.sign(z), 0.0)
 
-    return np.stack((shrink(p - mu * (a.conj().T @ (a @ (p + gamma * (q - p)) - y))),
-                     shrink(q - mu * gamma * (a.conj().T @ (a @ (q - p))))))
+    return np.stack((shrink(p - steps[0] * (a.conj().T @ (a @ (p + gamma * (q - p)) - y)),
+                            thresholds[0]),
+                     shrink(q - steps[1] * (a.conj().T @ (a @ (q - p))), thresholds[1])))
 
 
-def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
+def dense_saddle_steps(entries, y, gamma, steps, thresholds, memory=0, start=None):
     """Endless ``(x, v, delta)`` of the two-block saddle recurrence.
 
-    Written out for one vector, with dense products and a fixed step
-    ``mu``; one step T is ``dense_saddle_step``.  At ``gamma = 0`` a point
-    is x alone, v stays zero and is yielded as zeros.  Each step yields
-    T(z) of the point z it was taken from, with ``delta = max(|x' - p|_inf,
-    |v' - q|_inf)``.  The first point is z = 0.  With ``memory = 0`` every
-    next point is T(z): the plain recurrence.
+    Written out for one vector, with dense products and fixed steps and
+    thresholds; one step T is ``dense_saddle_step``.  At ``gamma = 0`` a
+    point is x alone, v stays zero and is yielded as zeros.  Each step
+    yields T(z) of the point z it was taken from, with ``delta =
+    max(|x' - p|_inf, |v' - q|_inf)``.  The first point is x = v =
+    ``start``, or 0 without one.  With ``memory = 0`` every next point is
+    T(z): the plain recurrence.
 
     Otherwise the next point is the type-II Anderson point of the last
     ``min(memory, width)`` steps, in the kernel's formulas, where width is
@@ -164,7 +167,7 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
 
     def step(z):
         # at gamma = 0, q = p gives q - p = 0 exactly: x' is the ISTA step
-        return dense_saddle_step(a, y, lam, gamma, mu, z[0], z[-1])[:blocks]
+        return dense_saddle_step(a, y, gamma, steps, thresholds, z[0], z[-1])[:blocks]
 
     def rows(z):
         return z.reshape(-1).view(np.float64)
@@ -174,6 +177,8 @@ def dense_saddle_steps(entries, y, lam, gamma, mu, memory=0):
         return f, np.sum(f * f), float(np.max(np.abs(g1 - z)))
 
     g = np.zeros((blocks, a.shape[1]), dtype=np.result_type(a, y, np.float64))
+    if start is not None:
+        g[:] = start
     width = rows(g).size
     memory = min(memory, width)
     df, dg = np.zeros((memory, width)), np.zeros((memory, width))

@@ -22,19 +22,23 @@ class TestThreshold:
         assert table[1.5][1] == pytest.approx(1.0)
         assert table[0.0] == (0.0, 0.0)
 
-    def test_mu_not_greater_than_lambda(self, tmp_path):
-        assert main(["threshold", "--lambda", "2.0", "--mu", "2.0", "--out", str(tmp_path)]) == 2
+    def test_mu_not_greater_than_lambda(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["threshold", "--lambda", "2.0", "--mu", "2.0", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--mu" in err and "--lambda" in err
 
     @pytest.mark.parametrize(
         "flags",
         [["--y-max", "inf"], ["--y-max", "nan"], ["--mu", "inf"], ["--lambda", "nan"],
-         ["--points", "100000000000"], ["--y-max", "0"]],
+         ["--points", "100000000000"], ["--y-max", "0"], ["--mu", "nan"], ["--lambda", "inf"],
+         ["--lambda", "0"], ["--lambda", "-1"]],
     )
     def test_non_finite_flag_is_usage_error(self, tmp_path, flags, capsys):
         assert main(["threshold", *flags, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
-        if flags[0] in ("--y-max", "--points"):
-            assert flags[0] in capsys.readouterr().err  # the message names the flag
+        assert flags[0] in capsys.readouterr().err  # the message names the flag
 
     def test_large_mu_matches_soft(self, tmp_path):
         out = tmp_path / "o"

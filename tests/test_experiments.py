@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gmcreg import (
     coefficient_clusters,
     denoise_frame,
     gaussian_draws,
+    gmc_solve,
     make_chirp,
     make_two_sine,
     nonzero_count,
@@ -268,7 +271,8 @@ class TestSweep:
     def test_gmc_block_iteration_budget(self):
         # the GMC block of a two-realization sweep on the paper's frame, as
         # run_sweep builds it: Anderson memory 5 took 6 044 column-iterations
-        # here, memory 10 takes 3 402
+        # here and memory 10 took 3 402, both at the paper's step from 0; the
+        # per-block step from the l1 answer takes 2 001
         spec = ExperimentSpec(realizations=2)
         frame = DftFrameOperator(spec.signal_len, spec.coef_len)
         clean = make_two_sine(spec)
@@ -302,6 +306,19 @@ class TestStftDemo:
             res = denoise_frame(clean, frame, method, 1e-4, 0.7)
             assert res.converged
             assert rmse(res.recon, clean) <= 1e-3
+
+    def test_clean_chirp_gmc_stage_margin(self):
+        # the GMC solve of test_clean_chirp_small_lambda, at denoise_frame's
+        # tolerance and budget: from 0 it took 39 852 of its 40 000
+        # iterations; started from its l1 answer it takes a few hundred
+        spec = StftDemoSpec()
+        frame = StftFrameOperator(spec.signal_len, spec.segment_len)
+        defaults = inspect.signature(denoise_frame).parameters
+        cfg = SolveConfig(1e-4, 0.7, tol=defaults["tol"].default,
+                          max_iter=defaults["max_iter"].default)
+        rep = gmc_solve(frame, make_chirp(spec).samples, cfg)
+        assert rep.converged
+        assert rep.iterations <= 1_000
 
     def test_default_run_sparser_gmc(self):
         rep = run_stft_demo(StftDemoSpec())

@@ -124,11 +124,9 @@ class TestGmcSolve:
         for gamma in (0.5, 0.8):
             for _ in range(5):
                 a, y = random_instance(rng, 6, 8)
-                xs = [np.zeros(8)]
-                head = gmc_solve(
-                    a, y, SolveConfig(lam=0.4, gamma=gamma, max_iter=300, tol=1e-300),
-                    callback=lambda s: xs.append(s.x_star),
-                )
+                cfg = SolveConfig(lam=0.4, gamma=gamma, max_iter=300, tol=1e-300)
+                xs = [ista_solve(a, y, 0.4, cfg).x_star]  # the GMC stage's first point
+                head = gmc_solve(a, y, cfg, callback=lambda s: xs.append(s.x_star))
                 trace = cost_value_many(a, y, 0.4, gamma, np.stack(xs, axis=1))
                 assert trace is not None and trace.shape[0] == head.iterations + 1
                 saw_transient_rise |= bool(np.any(np.diff(trace) > 1e-9))
@@ -215,7 +213,9 @@ class TestDenseOracle:
     """``gmc_solve`` against the dense saddle recurrence, bit for bit.
 
     At every ``gamma`` that is the safeguarded Anderson recurrence with the
-    kernel's memory ``_MEMORY``; at ``gamma = 0`` it carries x alone.
+    kernel's memory ``_MEMORY`` and per-block steps; at ``gamma = 0`` it
+    carries x alone, and at ``gamma > 0`` it starts from ``ista_solve``'s
+    answer under the same configuration.
     """
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -231,8 +231,8 @@ class TestDenseOracle:
         cfg = SolveConfig(lam=lam, gamma=gamma, tol=1e-300, max_iter=150)
         states = []
         gmc_solve(DenseOperator(entries), y, cfg, callback=states.append)
-        mu = solver_step(entries, gamma)
-        expected = dense_saddle_steps(entries, y, lam, gamma, mu, gmcreg.solvers._MEMORY)
+        expected = dense_saddle_steps(entries, y, gamma, *solver_steps(entries, lam, gamma),
+                                      gmcreg.solvers._MEMORY, start=l1_start(entries, y, cfg))
         assert len(states) == 150 or states[-1].delta == 0.0
         for s, (x, v, delta) in zip(states, expected):
             assert s.x_star.tobytes() == x.tobytes()
@@ -275,7 +275,7 @@ class TestInertialStability:
             cfg = SolveConfig(lam=lam, gamma=gamma, tol=self.TOL)
             rep = gmc_solve(DenseOperator(entries), y, cfg, callback=track)
             assert rep.converged
-            plain_iters, plain_peak = plain_run(entries, y, lam, gamma, self.TOL)
+            plain_iters, plain_peak = plain_run(entries, y, cfg)
             assert peak[0] <= 2.0 * plain_peak
             assert rep.iterations <= 1.1 * plain_iters
             ours.append(rep.iterations)
@@ -283,28 +283,90 @@ class TestInertialStability:
         assert sum(ours) <= 0.7 * sum(plains)
 
 
-def solver_step(entries, gamma):
-    """The solvers' step on ``DenseOperator(entries)``, formed as ``_solve_block`` forms it."""
-    return 1.9 / (max(1.0, gamma / (1.0 - gamma)) * DenseOperator(entries).gram_norm())
+class TestMetricStep:
+    """The solvers' per-block step T against the metric it is taken in."""
+
+    def test_nonexpansive_in_metric(self):
+        # ||T z - T z'||_U <= ||z - z'||_U with ||(x, v)||_U^2 = ||x||^2 +
+        # gamma/(1-gamma) ||v||^2, on random dense real and complex A: far
+        # pairs and near ones, at entry scales that make some thresholds bite
+        rng = np.random.default_rng(24)
+        for trial in range(200):
+            m, n = (int(k) for k in rng.integers(2, 10, size=2))
+            entries = rng.normal(size=(m, n))
+            ys = rng.normal(size=(m, 10))
+            z = rng.normal(size=(2, n, 10)) * rng.uniform(0.1, 3.0, size=10)
+            other = z + rng.normal(size=z.shape) * np.where(np.arange(10) < 5, 1.0, 1e-3)
+            if trial % 2:
+                entries = entries + 1j * rng.normal(size=(m, n))
+                ys = ys + 1j * rng.normal(size=(m, 10))
+                z = z + 1j * rng.normal(size=z.shape)
+                other = other + 1j * rng.normal(size=z.shape) * 1e-2
+            lam, gamma = rng.uniform(0.05, 2.0), rng.uniform(0.05, 0.95)
+            (mu, _), thresholds = solver_steps(entries, lam, gamma)
+            thr = np.array(thresholds)[:, None, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t, t_other = (gmcreg.solvers._saddle_step(DenseOperator(entries), p, ys, mu,
+                                                          gamma, thr) for p in (z, other))
+
+            def norm2(d):
+                return (np.sum(np.abs(d[0]) ** 2, axis=0)
+                        + gamma / (1.0 - gamma) * np.sum(np.abs(d[1]) ** 2, axis=0))
+
+            assert np.all(norm2(t - t_other) <= norm2(z - other) * (1.0 + 1e-12))
 
 
-def plain_run(entries, y, lam, gamma, tol):
-    """Iterations and peak entry modulus of plain forward-backward to ``tol``.
+def solver_step(entries):
+    """The solvers' x-step on ``DenseOperator(entries)``, formed as ``_solve_block`` forms it."""
+    return 1.9 / DenseOperator(entries).gram_norm()
 
-    It steps as the solvers do (``solver_step``).
+
+def solver_steps(entries, lam, gamma):
+    """The oracles' (steps, thresholds) of the solvers' per-block step.
+
+    x steps at mu = ``solver_step`` with threshold mu*lam; at ``gamma > 0``
+    v steps at c*mu, c = (1-gamma)/gamma, with threshold c*mu*lam, so its
+    gradient term ``c*mu*gamma*A^H A(v - x)`` is ``mu*(1-gamma)*A^H A(v - x)``.
+    Each product is formed as ``_solve_block`` and ``_saddle_step`` form it.
+    """
+    mu = solver_step(entries)
+    if gamma == 0.0:
+        return (mu, 0.0), (mu * lam, mu * lam)  # the v block is not stepped
+    return (mu, mu * (1.0 - gamma)), (mu * lam, (1.0 - gamma) / gamma * mu * lam)
+
+
+def paper_steps(entries, lam, gamma):
+    """The paper's (steps, thresholds): both blocks at 1.9/rho, from a dense eigen-solve."""
+    mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
+    return (mu, gamma * mu), (mu * lam, mu * lam)
+
+
+def l1_start(entries, y, cfg):
+    """The point a GMC solve starts from: ``ista_solve``'s answer under ``cfg``, or 0 at gamma 0."""
+    if cfg.gamma == 0.0:
+        return None
+    return ista_solve(DenseOperator(entries), y, cfg.lam, cfg).x_star
+
+
+def plain_run(entries, y, cfg):
+    """Iterations and peak entry modulus of plain forward-backward to ``cfg.tol``.
+
+    It steps as the solvers do (``solver_steps``), from the point they
+    start from (``l1_start``).
     """
     peak = 0.0
-    steps = dense_saddle_steps(entries, y, lam, gamma, solver_step(entries, gamma))
+    steps = dense_saddle_steps(entries, y, cfg.gamma, *solver_steps(entries, cfg.lam, cfg.gamma),
+                               start=l1_start(entries, y, cfg))
     for iters, (x, v, delta) in enumerate(steps, start=1):
         peak = max(peak, np.max(np.abs(x)), np.max(np.abs(v)))
-        if delta <= tol:
+        if delta <= cfg.tol:
             return iters, peak
 
 
 def fixed_point_change(entries, y, lam, gamma, rep):
-    """Sup-norm change of one plain forward-backward step from ``rep``'s answer."""
-    mu = 1.9 / (max(1.0, gamma / (1.0 - gamma)) * dense_gram_lambda_max(entries))
-    x, v = dense_saddle_step(entries, y, lam, gamma, mu, rep.x_star, rep.v_star)
+    """Sup-norm change of one step of the paper's forward-backward from ``rep``'s answer."""
+    x, v = dense_saddle_step(entries, y, gamma, *paper_steps(entries, lam, gamma),
+                             rep.x_star, rep.v_star)
     return max(np.max(np.abs(x - rep.x_star)), np.max(np.abs(v - rep.v_star)))
 
 
@@ -373,7 +435,7 @@ class TestAndersonProperties:
 
         cfg = SolveConfig(lam, gamma, tol=self.TOL)
         assert gmc_solve(DenseOperator(entries), ys[:, 0], cfg, callback=track).converged
-        assert peak[0] <= 2.0 * plain_run(entries, ys[:, 0], lam, gamma, self.TOL)[1]
+        assert peak[0] <= 2.0 * plain_run(entries, ys[:, 0], cfg)[1]
 
 
 def assert_v_is_zero(rep):
@@ -455,20 +517,22 @@ class TestSolveMany:
         rng = np.random.default_rng(18)
         op = DftFrameOperator(20, 48)
         ys = rng.normal(size=(20, 8))
-        ys[:, 0] = 0.0  # T(0) = 0: column 0 is written out at iteration 1
-        widths = []
+        ys[:, 0] = 0.0  # T(0) = 0: column 0 is written out at iteration 1 of each stage
+        widths = {}  # block columns of each T, by the blocks of z: 1 for l1, 2 for GMC
         step = gmcreg.solvers._saddle_step
 
         def counting(a_op, z, *args):
-            widths.append(z.shape[-1])
+            widths.setdefault(len(z), []).append(z.shape[-1])
             return step(a_op, z, *args)
 
         monkeypatch.setattr(gmcreg.solvers, "_saddle_step", counting)
         reports = solve_many(op, ys, [SolveConfig(lam=0.3, gamma=gamma)] * 8)
         assert reports[0].iterations == 1
         assert min(r.iterations for r in reports[1:]) > 1
-        assert widths[0] == 8
-        assert max(widths[1:]) == 7
+        assert sorted(widths) == ([1, 2] if gamma else [1])  # the l1 stage runs once
+        for stage in widths.values():
+            assert stage[0] == 8
+            assert max(stage[1:]) == 7
 
     @pytest.mark.parametrize(
         "other",
