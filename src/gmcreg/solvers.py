@@ -3,29 +3,44 @@
 Minimizes ``F(x) = 0.5*||y - A x||_2^2 + lam * gmc_B(x)`` with
 ``B = sqrt(gamma/lam) * A``, which keeps F convex for ``gamma < 1``.  The
 problem is recast as a saddle-point problem in the pair (x, v) and solved by
-forward-backward splitting.  One step T from a point (p, q) costs two
-applications of A and two of its adjoint plus soft thresholding:
+primal-dual forward-backward splitting.  One step T from a point (p, q)
+costs two applications of A and two of its adjoint plus soft thresholding:
 
-    mu   = 1.9/||A^T A||_2
+    mu   = 1.9/(||A^T A||_2 * ((1-gamma) + 2*sqrt(gamma*(1-gamma))))
     c    = (1-gamma)/gamma
-    w    = p - mu * A^T( A(p + gamma*(q - p)) - y )
-    u    = q - mu*(1-gamma) * A^T( A(q - p) )
-    T(p, q) = (soft(w, mu*lam), soft(u, c*mu*lam))
+    x'   = soft(p - mu * A^T( A(p + gamma*(q - p)) - y ), mu*lam)
+    v'   = soft(q - mu*(1-gamma) * A^T( A(q - (2x' - p)) ), c*mu*lam)
+    T(p, q) = (x', v')
 
-with change ``delta = max(|x' - p|_inf, |v' - q|_inf)`` for ``(x', v') =
-T(p, q)``.  Each block takes its own step: x at mu and v at c*mu, whose
-product with v's gradient ``gamma*A^T A(q - p)`` is the ``mu*(1-gamma)``
-above, and each soft threshold is its block's step times lam.  This is
-forward-backward in the metric ``||(x, v)||^2 = ||x||^2 + ||v||^2/c``, in
-which the saddle operator is 1/||A^T A||-cocoercive at every gamma, so T
-is nonexpansive there (Combettes & Vu, Optimization 2014).  The paper's
-single step ``1.9/rho``, ``rho = max(1, gamma/(1-gamma))*||A^T A||_2``,
-shrinks the x-step by gamma/(1-gamma) for gamma > 1/2 (4 times at the
-sweep's gamma = 0.8); the v-step there is the same.  At ``gamma = 0`` v
-stays zero and T is the iterative shrinkage / thresholding (ISTA) step
-of the l1-regularized problem, so the kernel carries x alone and applies
-A and its adjoint once each per step.  For complex operators the adjoint
-is the conjugate transpose and soft thresholding shrinks moduli.
+with change ``delta = max(|x' - p|_inf, |v' - q|_inf)``.  x steps at mu
+and v at c*mu, whose product with v's gradient ``gamma*A^T A(q - xbar)`` is
+the ``mu*(1-gamma)`` above, and each soft threshold is its block's step
+times lam.  v's gradient reads the extrapolated ``xbar = 2x' - p``, not p.
+That makes T forward-backward in the non-diagonal metric
+
+    ||(x, v)||_P^2 = ||x||^2/mu + ||v||^2/(c*mu) - 2*gamma*Re<x, A^T A v>
+
+(Condat, JOTA 2013; Vu, Adv. Comput. Math. 2013), within the framework of
+Combettes & Vu (Optimization 2014): P absorbs the skew part of the saddle
+operator, and what is left, ``C = diag((1-gamma) A^T A, gamma A^T A)``, is
+cocoercive.  T is nonexpansive in P when P > 0 and 2P - C > 0; on an
+eigenvalue g of A^T A both hold for ``2/mu > g*((1-gamma) +
+2*sqrt(gamma*(1-gamma)))``, and mu is 0.95 of that bound at g =
+||A^T A||.  That is 1.9/||A^T A|| at gamma = 0 and at gamma = 0.8, less in
+between (1.17/||A^T A|| near gamma = 0.28) and more above 0.8.  With q - p
+in place of q - xbar and mu = 1.9/||A^T A||, the linear part of T at the
+sweep's gamma = 0.8 multiplies each range mode of the tight DFT frame's
+A^T A by 0.62 +- 0.76i, a near-rotation of modulus 0.98.  On the
+reference sweep that step took 17 775 GMC-stage column-iterations and
+this one takes 10 808, with fewer at every gamma from 0.5 up; at gamma
+0.2 and 0.3, where mu is smaller, it takes 9 % and 5 % more.  The
+high-gamma cells remain slow: at gamma 0.95, 8 of the reference sweep's
+260 GMC cells stop on their 40 000-iteration budget (19 with q - p), at
+gamma 0.9 the same 4 of 260.  At ``gamma = 0`` v stays zero and
+T is the iterative shrinkage / thresholding (ISTA) step of the
+l1-regularized problem, so the kernel carries x alone and applies A and
+its adjoint once each per step.  For complex operators the adjoint is the
+conjugate transpose and soft thresholding shrinks moduli.
 
 A solve at ``gamma > 0`` runs in two stages on one block: the l1 solve
 (``gamma = 0``) from 0, then the GMC solve from x = v = its answer, each
@@ -33,8 +48,8 @@ under the same ``tol`` and ``max_iter``.  This is continuation in gamma,
 much as Hale, Yin & Zhang (SIAM J. Optim. 2008) continue in lam.  A
 report's ``iterations``, ``converged`` and ``delta``, and the callback,
 cover the GMC stage.  On the clean STFT chirp at lam 1e-4, gamma 0.7 and
-tol 1e-6, the GMC stage converges in 273 iterations after the l1 solve's
-8 034; from 0, with the same step, it does not converge within 40 000.
+tol 1e-6, the GMC stage converges in 96 iterations after the l1 solve's
+8 034; started from the l1 answer stopped at tol 1e-5 it takes 15 410.
 
 At every ``gamma`` the kernel runs safeguarded type-II Anderson
 acceleration of T, which applies to any nonexpansive fixed-point map
@@ -51,9 +66,9 @@ column steps to T(z) in the same iteration, an extra application of T,
 and clears its history.  The first step is the plain step from the
 stage's start.  A solve returns T(z) of its last point, with ``delta =
 ||T(z) - z||_inf`` its change.  On the reference DFT-frame sweep the GMC
-stage takes 0.18 times the iterations of plain forward-backward from the
-same start, plus 7 % extra applications of T, and the l1 solve 0.19
-times those of plain ISTA.
+stage takes 0.12 times the iterations of plain primal-dual
+forward-backward from the same start, plus 5 % extra applications of T,
+and the l1 solve 0.19 times those of plain ISTA, plus 8 %.
 
 A real signal on a DFT frame runs on the half spectrum.  From x = v = 0,
 and so from the l1 answer, every iterate is then Hermitian,
@@ -72,13 +87,11 @@ One kernel iterates an (N, k) block of independent problems on a single
 operator, each column with its own ``lam``.  ``solve_many`` hands it k
 columns; ``gmc_solve`` and ``ista_solve`` are its k = 1 case, bit-identical
 to a one-vector loop.  A column is written out when it converges or runs
-out of budget.  On the FFT-applied frames its iterates equal the solo
-solve's bit for bit, Anderson steps included: every inner product of the
-history sums one column in the same order at any k.  On a dense operator
-a block applies A as a matrix-matrix product and a solo solve as a
-matrix-vector product, and the Anderson steps can amplify that rounding
-difference, so the column can stop at another iteration and point within
-its tolerance.  A written-out column leaves the block in the same
+out of budget.  Its iterates equal the solo solve's bit for bit, Anderson
+steps included, on every operator: the frames transform each column on
+its own, a dense operator forms each entry as one einsum dot product, and
+every inner product of the history sums one column in the same order at
+any k.  A written-out column leaves the block in the same
 iteration, so it costs no further T or history work.  The steps come
 from the operator's declared ``gram_norm``, never a power-iteration
 estimate.  The penalties module runs the generalized-Huber
@@ -91,6 +104,7 @@ bit-identical iterate sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -114,10 +128,12 @@ class SolveConfig:
     """Configuration of the saddle-point solver.
 
     ``gamma`` in [0, 1) controls penalty non-convexity (0 gives plain l1;
-    1 is excluded because the forward step loses cocoercivity there).  The
-    steps are always x at ``1.9/||A^T A||_2`` and v at (1-gamma)/gamma
-    times that (see the module docstring).  ``tol`` bounds the sup-norm
-    change, over both blocks, of the last step taken: a stage stops once a
+    1 is excluded: the v-step (1-gamma)/gamma times the x-step vanishes
+    there).  The steps are always x at ``1.9/(||A^T A||_2 * ((1-gamma) +
+    2*sqrt(gamma*(1-gamma))))``, 0.95 of the bound that keeps the
+    primal-dual step nonexpansive in its metric P, and v at
+    (1-gamma)/gamma times that (see the module docstring).  ``tol`` bounds
+    the sup-norm change, over both blocks, of the last step taken: a stage stops once a
     step moves no entry by more than ``tol``, or after ``max_iter`` steps.
     At ``gamma > 0`` the l1 stage and the GMC stage each get that budget.
     ``lam`` and ``tol`` must be positive and finite, ``max_iter`` an
@@ -161,9 +177,12 @@ def gmc_solve(
     """Minimize ``0.5*||y - A x||^2 + lam * gmc_B(x)`` with B built from A.
 
     At ``gamma > 0`` it first runs ``ista_solve`` under ``cfg`` (the l1
-    stage), then the forward-backward saddle-point iteration from x = v =
-    that answer (the GMC stage) until the larger of the two block changes
-    drops below ``cfg.tol``; at ``gamma = 0`` it is ``ista_solve``.
+    stage), then the primal-dual forward-backward saddle-point iteration,
+    whose v-update reads the extrapolated ``2x' - x``, from x = v = that
+    answer (the GMC stage) until the larger of the two block changes drops
+    below ``cfg.tol``; at ``gamma = 0`` it is ``ista_solve``.  On the clean
+    STFT chirp at lam 1e-4 and gamma 0.7 the GMC stage takes 96 iterations
+    after the l1 stage's 8 034 (see the module docstring).
     Hitting ``max_iter`` is reported via ``converged=False``, not an
     exception; a NaN or infinite entry in ``y`` raises ``ValueError``, and
     an iterate that turns NaN raises ``FloatingPointError``.  The report's
@@ -205,11 +224,8 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     At ``gamma > 0`` the l1 stage runs as one block and the GMC stage as
     another, started from its answers.  Each iteration applies A and its
     adjoint to all live columns at once.  A column stops at its own
-    tolerance or budget.  On the DFT and STFT frames its iterates and
-    iteration count equal the solo solve's bit for bit.  On a dense
-    operator a matrix-matrix product rounds differently from a
-    matrix-vector product, and the Anderson steps can amplify that up to
-    the tolerance scale (see the module docstring).
+    tolerance or budget.  On every operator its iterates and iteration
+    count equal the solo solve's bit for bit (see the module docstring).
     """
     return _l1_and_gmc(a_op, ys, cfgs)[1]
 
@@ -269,9 +285,8 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
     ``cfg`` gives the shared ``gamma``, ``tol`` and ``max_iter``; its
-    ``lam`` is not read.  The x-step is ``1.9/||A^T A||_2`` from
-    ``a_op.gram_norm()``, the v-step that times (1-gamma)/gamma (see the
-    module docstring).  A real block on a DFT frame runs on the half
+    ``lam`` is not read.  The x-step is ``_step`` of ``a_op.gram_norm()``,
+    the v-step that times (1-gamma)/gamma (see the module docstring).  A real block on a DFT frame runs on the half
     spectrum.  The block g holds T of each column's current point: the
     pair (x, v), shape (2, N, k), at ``gamma > 0`` and x alone, (1, N, k),
     at ``gamma = 0``.  The first point is x = v = ``start``, an (N, k)
@@ -290,8 +305,8 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     _positive(gram, "operator Gram norm")
     _finite(ys, "y")
     gamma = cfg.gamma
-    mu = 1.9 / gram
-    # forward-backward in the metric diag(I, gamma/(1-gamma) I): v steps at c*mu
+    mu = _step(gram, gamma)
+    # v steps at c*mu, c = (1-gamma)/gamma, as the metric P needs
     steps = np.array([mu] if gamma == 0.0 else [mu, (1.0 - gamma) / gamma * mu])
     op, weights, expand = a_op, None, np.asarray
     if isinstance(a_op, DftFrameOperator) and not np.iscomplexobj(ys):
@@ -339,22 +354,33 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     return (*full(out), iterations, deltas)
 
 
-def _saddle_step(a_op, z, ys, mu, gamma, thr):
-    """T of the columns of ``z``: one forward-backward step from each.
+def _step(gram, gamma):
+    """The x-step mu at ``||A^H A||_2 = gram``: 0.95 of the bound where 2P - C > 0.
 
-    ``mu`` is the x-step and ``thr`` the (blocks, 1, k) thresholds; the
-    v-step ``c*mu``, c = (1-gamma)/gamma, times v's gradient
-    ``gamma*A^T A(v - x)`` is ``mu*(1-gamma)*A^T A(v - x)``.
+    ``1.9/(gram*((1-gamma) + 2*sqrt(gamma*(1-gamma))))``, which is exactly
+    ``1.9/gram`` at ``gamma = 0`` (see the module docstring).
+    """
+    return 1.9 / (gram * ((1.0 - gamma) + 2.0 * math.sqrt(gamma * (1.0 - gamma))))
+
+
+def _saddle_step(a_op, z, ys, mu, gamma, thr):
+    """T of the columns of ``z``: one primal-dual forward-backward step from each.
+
+    ``mu`` is the x-step and ``thr`` the (blocks, 1, k) thresholds.  x steps
+    first; v's gradient ``gamma*A^H A(v - xbar)`` then reads the
+    extrapolated ``xbar = 2x' - x``, and the v-step ``c*mu``, c =
+    (1-gamma)/gamma, times it is ``mu*(1-gamma)*A^H A(v - xbar)``.
     """
     x = z[0]
     if gamma == 0.0:
-        # ISTA, exactly: x + 0*(v - x) == x and the v block stays 0.0
-        w = (x - mu * a_op.adjoint_multi(a_op.forward_multi(x) - ys))[None]
-    else:
-        d = z[1] - x
-        w = np.stack((x - mu * a_op.adjoint_multi(a_op.forward_multi(x + gamma * d) - ys),
-                      z[1] - mu * (1.0 - gamma) * a_op.adjoint_multi(a_op.forward_multi(d))))
-    return _shrink(w, thr)
+        # ISTA, exactly: the v block is not carried
+        return _shrink((x - mu * a_op.adjoint_multi(a_op.forward_multi(x) - ys))[None], thr)
+    v = z[1]
+    x_next = _shrink(x - mu * a_op.adjoint_multi(a_op.forward_multi(x + gamma * (v - x)) - ys),
+                     thr[0])
+    d = v - (2.0 * x_next - x)
+    v_next = _shrink(v - mu * (1.0 - gamma) * a_op.adjoint_multi(a_op.forward_multi(d)), thr[1])
+    return np.stack((x_next, v_next))
 
 
 class _Anderson:

@@ -106,21 +106,28 @@ def psd_factor(gram):
     return (vecs * np.sqrt(w)) @ vecs.T
 
 
-def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q):
+def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q, paper=False):
     """One forward-backward step T(p, q) of the two-block saddle recurrence.
 
     With dense products, the steps ``(a, b)`` and the thresholds ``(s, t)``:
 
         x' = shrink(p - a * A^H (A (p + gamma*(q - p)) - y), s)
-        v' = shrink(q - b * A^H (A (q - p)), t)
+        v' = shrink(q - b * A^H (A (q - (2 x' - p))), t)
 
     where ``shrink`` zeroes entries of modulus <= the threshold and moves
-    the others towards zero by it (complex entries keep their phase).  The
-    paper's step is ``a = 1.9/rho``, ``b = gamma*a`` and ``s = t = a*lam``;
-    a step of c*a on v, in the metric diag(I, I/c), has ``b = c*gamma*a``
-    and ``t = c*a*lam``.  Returns the stacked (x', v').
+    the others towards zero by it (complex entries keep their phase).  v's
+    gradient reads the extrapolated x, ``2 x' - p``: the primal-dual step,
+    forward-backward in the metric P of the solvers' module docstring, with
+    ``b = c*gamma*a`` and ``t = c*a*lam``, c = (1-gamma)/gamma.  With
+    ``paper=True`` it reads p, as in the paper's step ``a = 1.9/rho``,
+    ``b = gamma*a`` and ``s = t = a*lam``.  Each product is the einsum dot
+    product ``DenseOperator`` applies to a column, so the bits match it.
+    Returns the stacked (x', v').
     """
     a = np.asarray(entries)
+
+    def prod(mat, u):
+        return np.einsum("mn,nk->mk", np.ascontiguousarray(mat), u[:, None])[:, 0]
 
     def shrink(z, t):
         m = np.abs(z)
@@ -129,9 +136,10 @@ def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q):
                 return np.where(m > t, (1.0 - t / m) * z, 0.0 + 0.0j)
         return np.where(m > t, (m - t) * np.sign(z), 0.0)
 
-    return np.stack((shrink(p - steps[0] * (a.conj().T @ (a @ (p + gamma * (q - p)) - y)),
-                            thresholds[0]),
-                     shrink(q - steps[1] * (a.conj().T @ (a @ (q - p))), thresholds[1])))
+    ah = a.conj().T
+    x = shrink(p - steps[0] * prod(ah, prod(a, p + gamma * (q - p)) - y), thresholds[0])
+    xbar = p if paper else 2.0 * x - p
+    return np.stack((x, shrink(q - steps[1] * prod(ah, prod(a, q - xbar)), thresholds[1])))
 
 
 def dense_saddle_steps(entries, y, gamma, steps, thresholds, memory=0, start=None):

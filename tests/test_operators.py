@@ -151,25 +151,37 @@ class TestForwardAdjoint:
 
     @pytest.mark.parametrize("op", BLOCK_OPERATORS, ids=lambda o: type(o).__name__)
     def test_forward_multi_matches_loop(self, op):
-        """Column j of a block is the column-j vector result.
-
-        Matrix-free operators match bit for bit.  Dense ones run the block as
-        one matrix product and a vector as a matrix-vector product, whose
-        BLAS summation orders may differ in the last bit.
-        """
+        """Column j of a block is the column-j vector result, bit for bit."""
         rng = np.random.default_rng(5)
         cplx = op.field == "complex"
         xs = np.stack([random_vec(rng, op.domain_dim, cplx) for _ in range(3)], axis=1)
         ys = np.stack([random_vec(rng, op.codomain_dim, cplx) for _ in range(3)], axis=1)
-        got_f, got_a = op.forward_multi(xs), op.adjoint_multi(ys)
-        want_f = np.stack([op.forward(xs[:, j]) for j in range(3)], axis=1)
-        want_a = np.stack([op.adjoint(ys[:, j]) for j in range(3)], axis=1)
-        if _dense_backed(op):
-            np.testing.assert_allclose(got_f, want_f, rtol=0, atol=1e-14 * np.abs(want_f).max())
-            np.testing.assert_allclose(got_a, want_a, rtol=0, atol=1e-14 * np.abs(want_a).max())
-        else:
-            assert_bitwise(got_f, want_f)
-            assert_bitwise(got_a, want_a)
+        assert_bitwise(op.forward_multi(xs),
+                       np.stack([op.forward(xs[:, j]) for j in range(3)], axis=1))
+        assert_bitwise(op.adjoint_multi(ys),
+                       np.stack([op.adjoint(ys[:, j]) for j in range(3)], axis=1))
+
+    def test_dense_columns_do_not_depend_on_k_or_layout(self):
+        # DenseOperator's einsum dot products give each column the bits of
+        # its one-column product, whatever k and whatever the block's memory
+        # layout, as the solvers' strided views pass it.  numpy does not
+        # promise this.  ``entries @ xs`` breaks it in most of these draws,
+        # and so does an einsum over C-ordered blocks.
+        rng = np.random.default_rng(6)
+        for trial in range(100):
+            m, n, k = (int(d) for d in rng.integers(1, 40, size=3))
+            entries = rng.normal(size=(m, n))
+            if trial % 2:
+                entries = entries + 1j * rng.normal(size=(m, n))
+            op = DenseOperator(entries if trial % 3 else np.asfortranarray(entries))
+            for apply, rows in ((op.forward_multi, n), (op.adjoint_multi, m)):
+                xs = random_vec(rng, rows * k, trial % 4 == 1).reshape(rows, k)
+                strided = np.stack([xs, xs]).transpose(2, 0, 1).copy().transpose(1, 2, 0)[1]
+                solo = [apply(xs[:, j].copy()[:, None])[:, 0] for j in range(k)]
+                for block in (xs, np.asfortranarray(xs), strided):
+                    got = apply(block)
+                    for j in range(k):
+                        assert_bitwise(got[:, j], solo[j])
 
 
 class TestStftOracle:

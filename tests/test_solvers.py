@@ -213,7 +213,7 @@ class TestDenseOracle:
     """``gmc_solve`` against the dense saddle recurrence, bit for bit.
 
     At every ``gamma`` that is the safeguarded Anderson recurrence with the
-    kernel's memory ``_MEMORY`` and per-block steps; at ``gamma = 0`` it
+    kernel's memory ``_MEMORY`` and primal-dual step; at ``gamma = 0`` it
     carries x alone, and at ``gamma > 0`` it starts from ``ista_solve``'s
     answer under the same configuration.
     """
@@ -284,12 +284,17 @@ class TestInertialStability:
 
 
 class TestMetricStep:
-    """The solvers' per-block step T against the metric it is taken in."""
+    """The solvers' primal-dual step T against the metric P it is taken in.
+
+    With G = A^H A, c = (1-gamma)/gamma and the x-step mu, T is
+    forward-backward in ``||(x, v)||_P^2 = ||x||^2/mu + ||v||^2/(c*mu) -
+    2*gamma*Re<x, G v>`` with the cocoercive part C = diag((1-gamma) G,
+    gamma G); it is nonexpansive there when P > 0 and 2P - C > 0.
+    """
 
     def test_nonexpansive_in_metric(self):
-        # ||T z - T z'||_U <= ||z - z'||_U with ||(x, v)||_U^2 = ||x||^2 +
-        # gamma/(1-gamma) ||v||^2, on random dense real and complex A: far
-        # pairs and near ones, at entry scales that make some thresholds bite
+        # ||T z - T z'||_P <= ||z - z'||_P on random dense real and complex A:
+        # far pairs and near ones, at entry scales that make some thresholds bite
         rng = np.random.default_rng(24)
         for trial in range(200):
             m, n = (int(k) for k in rng.integers(2, 10, size=2))
@@ -302,34 +307,64 @@ class TestMetricStep:
                 ys = ys + 1j * rng.normal(size=(m, 10))
                 z = z + 1j * rng.normal(size=z.shape)
                 other = other + 1j * rng.normal(size=z.shape) * 1e-2
-            lam, gamma = rng.uniform(0.05, 2.0), rng.uniform(0.05, 0.95)
-            (mu, _), thresholds = solver_steps(entries, lam, gamma)
-            thr = np.array(thresholds)[:, None, None]
+            lam, gamma = rng.uniform(0.05, 2.0), rng.uniform(0.02, 0.98)
+            op = DenseOperator(entries)
+            mu, c = gmcreg.solvers._step(op.gram_norm(), gamma), (1.0 - gamma) / gamma
+            thr = np.array([mu, c * mu])[:, None, None] * lam
             with np.errstate(divide="ignore", invalid="ignore"):
-                t, t_other = (gmcreg.solvers._saddle_step(DenseOperator(entries), p, ys, mu,
-                                                          gamma, thr) for p in (z, other))
+                t, t_other = (gmcreg.solvers._saddle_step(op, p, ys, mu, gamma, thr)
+                              for p in (z, other))
+            gram = entries.conj().T @ entries
 
             def norm2(d):
-                return (np.sum(np.abs(d[0]) ** 2, axis=0)
-                        + gamma / (1.0 - gamma) * np.sum(np.abs(d[1]) ** 2, axis=0))
+                cross = np.real(np.sum(np.conj(d[0]) * (gram @ d[1]), axis=0))
+                return (np.sum(np.abs(d[0]) ** 2, axis=0) / mu
+                        + np.sum(np.abs(d[1]) ** 2, axis=0) / (c * mu) - 2.0 * gamma * cross)
 
+            assert np.all(norm2(z - other) > 0.0)
             assert np.all(norm2(t - t_other) <= norm2(z - other) * (1.0 + 1e-12))
 
+    def test_metric_bound_holds_at_the_chosen_step(self):
+        # On an eigenvector of G with eigenvalue g in [0, ||G||], P and 2P - C
+        # act as 2x2 matrices; both must be positive definite at every g.
+        # The step is 0.95 of the bound on 2P - C, so at g = ||G|| its
+        # smaller eigenvalue is small but positive.
+        step = gmcreg.solvers._step
+        gram = 3.7
+        assert step(gram, 0.0) == 1.9 / gram
+        for gamma in np.linspace(0.01, 0.99, 99):
+            mu, c = step(gram, gamma), (1.0 - gamma) / gamma
+            for g in np.linspace(0.0, gram, 11):
+                p = np.array([[1.0 / mu, -gamma * g], [-gamma * g, 1.0 / (c * mu)]])
+                cocoercive = np.diag([(1.0 - gamma) * g, gamma * g])
+                assert np.linalg.eigvalsh(p)[0] > 0.0
+                assert np.linalg.eigvalsh(2.0 * p - cocoercive)[0] > 0.0
+            # past the bound, 2P - C is indefinite at g = ||G||
+            mu = 2.05 / (gram * ((1.0 - gamma) + 2.0 * np.sqrt(gamma * (1.0 - gamma))))
+            p = np.array([[1.0 / mu, -gamma * gram], [-gamma * gram, 1.0 / (c * mu)]])
+            cocoercive = np.diag([(1.0 - gamma) * gram, gamma * gram])
+            assert np.linalg.eigvalsh(2.0 * p - cocoercive)[0] < 0.0
 
-def solver_step(entries):
-    """The solvers' x-step on ``DenseOperator(entries)``, formed as ``_solve_block`` forms it."""
-    return 1.9 / DenseOperator(entries).gram_norm()
+
+def solver_step(entries, gamma=0.0):
+    """The solvers' x-step on ``DenseOperator(entries)``, formed as ``_solve_block`` forms it.
+
+    ``1.9/(||A^H A||*((1-gamma) + 2*sqrt(gamma*(1-gamma))))``: 1.9/||A^H A||
+    at gamma = 0.
+    """
+    gram = DenseOperator(entries).gram_norm()
+    return 1.9 / (gram * ((1.0 - gamma) + 2.0 * np.sqrt(gamma * (1.0 - gamma))))
 
 
 def solver_steps(entries, lam, gamma):
-    """The oracles' (steps, thresholds) of the solvers' per-block step.
+    """The oracles' (steps, thresholds) of the solvers' primal-dual step.
 
     x steps at mu = ``solver_step`` with threshold mu*lam; at ``gamma > 0``
     v steps at c*mu, c = (1-gamma)/gamma, with threshold c*mu*lam, so its
-    gradient term ``c*mu*gamma*A^H A(v - x)`` is ``mu*(1-gamma)*A^H A(v - x)``.
+    gradient term ``c*mu*gamma*A^H A(v - xbar)`` is ``mu*(1-gamma)*A^H A(v - xbar)``.
     Each product is formed as ``_solve_block`` and ``_saddle_step`` form it.
     """
-    mu = solver_step(entries)
+    mu = solver_step(entries, gamma)
     if gamma == 0.0:
         return (mu, 0.0), (mu * lam, mu * lam)  # the v block is not stepped
     return (mu, mu * (1.0 - gamma)), (mu * lam, (1.0 - gamma) / gamma * mu * lam)
@@ -366,7 +401,7 @@ def plain_run(entries, y, cfg):
 def fixed_point_change(entries, y, lam, gamma, rep):
     """Sup-norm change of one step of the paper's forward-backward from ``rep``'s answer."""
     x, v = dense_saddle_step(entries, y, gamma, *paper_steps(entries, lam, gamma),
-                             rep.x_star, rep.v_star)
+                             rep.x_star, rep.v_star, paper=True)
     return max(np.max(np.abs(x - rep.x_star)), np.max(np.abs(v - rep.v_star)))
 
 
@@ -399,16 +434,16 @@ class TestAndersonProperties:
     @given(dense_gmc_problems(columns=3))
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_block_columns_are_fixed_points(self, problem):
-        # A block applies A as one matrix-matrix product, a solo solve as a
-        # matrix-vector product.  The Anderson steps can amplify that
-        # rounding difference up to the tolerance scale, so on a dense
-        # operator a column is held to the solo solve's fixed-point test,
-        # not to its bits (those are pinned on the frames below).
         entries, ys, lams, gamma = problem
+        op = DenseOperator(entries)
         cfgs = [SolveConfig(lam, gamma, tol=self.TOL) for lam in lams]
-        for j, rep in enumerate(solve_many(DenseOperator(entries), ys, cfgs)):
+        for j, rep in enumerate(solve_many(op, ys, cfgs)):
             assert rep.converged
             assert fixed_point_change(entries, ys[:, j], lams[j], gamma, rep) <= 3 * self.TOL
+            solo = gmc_solve(op, ys[:, j], cfgs[j])
+            assert rep.iterations == solo.iterations
+            assert rep.x_star.tobytes() == solo.x_star.tobytes()
+            assert rep.v_star.tobytes() == solo.v_star.tobytes()
 
     @given(st.integers(4, 40), st.integers(0, 40), st.integers(0, 2**32 - 1),
            st.floats(0.3, 0.9, exclude_max=True), st.booleans())
@@ -487,28 +522,12 @@ class TestSolveMany:
         assert reports[0].iterations == 1 and reports[0].converged
         assert not all(r.converged for r in reports)
         assert sum(r.converged for r in reports) >= 2
-        for j, (rep, solo) in enumerate(zip(reports, solos)):
+        for rep, solo in zip(reports, solos):
             assert rep.iterations == solo.iterations
             assert rep.converged == solo.converged
-            assert rep.x_star.shape == solo.x_star.shape
-            if kind in ("stft", "dft"):  # per-column FFTs: the very same arithmetic
-                assert rep.x_star.tobytes() == solo.x_star.tobytes()
-                assert rep.v_star.tobytes() == solo.v_star.tobytes()
-            elif gamma > 0 and kind in ("dense_real", "dense_complex"):
-                # matrix-matrix and matrix-vector products round differently,
-                # and here the Anderson steps amplify that past 1e-12 (see
-                # TestAndersonProperties): a converged column is held to the
-                # fixed-point test, a column stopped by its budget to its solo
-                # answer within the tolerance
-                if rep.converged:
-                    change = fixed_point_change(op.entries, ys[:, j], self.LAMS[j], gamma, rep)
-                    assert change <= 3 * 1e-8
-                else:
-                    assert np.max(np.abs(rep.x_star - solo.x_star)) <= 1e-8
-                    assert np.max(np.abs(rep.v_star - solo.v_star)) <= 1e-8
-            else:
-                assert np.max(np.abs(rep.x_star - solo.x_star)) <= 1e-12
-                assert np.max(np.abs(rep.v_star - solo.v_star)) <= 1e-12
+            # every operator sums a column in the same order at any k
+            assert rep.x_star.tobytes() == solo.x_star.tobytes()
+            assert rep.v_star.tobytes() == solo.v_star.tobytes()
             if gamma == 0.0:
                 assert_v_is_zero(rep)
 
