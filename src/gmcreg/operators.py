@@ -94,9 +94,9 @@ class DenseOperator(LinearOperator):
 
     The reference that oracles and tests compare matrix-free operators
     against; ``gram_norm`` is exact, by LAPACK's SVD of the entries, taken
-    on the first call and then kept.  The products are einsum dot products
-    (``_dot_columns``), so a block's columns equal the one-column results
-    bit for bit, as on the FFT-applied frames.
+    on the first call and then kept.  The products take each column on its
+    own (``_dot_columns``), so a block's columns equal the one-column
+    results bit for bit, as on the FFT-applied frames.
     """
 
     def __init__(self, entries):
@@ -128,16 +128,27 @@ class DenseOperator(LinearOperator):
         return _dot_columns(self._adjoint_entries, _columns(ys, self.codomain_dim))
 
 
+# rows at least this long are applied by one BLAS matrix-vector product per
+# column; shorter ones by einsum, which pays no per-column call
+_GEMV_MIN_ROW = 16
+
+
 def _dot_columns(mat, xs):
     """``mat @ xs`` for a C-ordered ``mat``, with one column's bits at any k.
 
-    Each entry is one einsum dot product of a contiguous row of ``mat`` with
-    a contiguous column of ``xs``, so its summation order depends on neither
-    k nor the layout ``xs`` came in.  A BLAS product sums a block's columns
-    in another order than a vector's, and so does an einsum over a
-    C-ordered block.
+    Each column of ``xs`` is copied to contiguous memory and multiplied on
+    its own: by a matrix-vector product (``np.matmul`` over the stack of
+    columns) for rows of ``_GEMV_MIN_ROW`` or more entries, else by einsum
+    dot products of a row with a column.  Either way a column's summation
+    order depends on neither k nor the layout ``xs`` came in, and the
+    choice depends on ``mat`` alone.  One BLAS matrix-matrix product sums a
+    block's columns in another order than a vector's, and so does an einsum
+    over a C-ordered block.
     """
-    return np.einsum("mn,nk->mk", mat, np.asfortranarray(xs))
+    cols = np.ascontiguousarray(xs.T)  # (k, n): one contiguous row per column
+    if mat.shape[1] >= _GEMV_MIN_ROW:
+        return np.matmul(mat, cols[..., None])[..., 0].T
+    return np.einsum("mn,nk->mk", mat, cols.T)
 
 
 class DftFrameOperator(LinearOperator):
@@ -232,7 +243,7 @@ class StftFrameOperator(LinearOperator):
     solve of the noise-free chirp at lambda 1e-4 still ran from 0 and the
     full form converged at iteration 39 852 of its 40 000: the changed
     rounding left it unconverged (``delta`` 1.10e-6 against a tolerance of
-    1e-6).  Started from its l1 answer, that GMC solve now takes 96
+    1e-6).  Started from its l1 answer, that GMC solve now takes 183
     iterations, so the form has the margin to be tried again.
     """
 

@@ -6,37 +6,36 @@ problem is recast as a saddle-point problem in the pair (x, v) and solved by
 primal-dual forward-backward splitting.  One step T from a point (p, q)
 costs two applications of A and two of its adjoint plus soft thresholding:
 
-    mu   = 1.9/(||A^T A||_2 * ((1-gamma) + 2*sqrt(gamma*(1-gamma))))
-    c    = (1-gamma)/gamma
-    x'   = soft(p - mu * A^T( A(p + gamma*(q - p)) - y ), mu*lam)
-    v'   = soft(q - mu*(1-gamma) * A^T( A(q - (2x' - p)) ), c*mu*lam)
+    g     = ||A^T A||_2
+    mu    = 1.9/g
+    sigma = 1.9/(gamma*g*(1 + 4*gamma*g/(2/mu - (1-gamma)*g)))
+    x'    = soft(p - mu * A^T( A(p + gamma*(q - p)) - y ), mu*lam)
+    v'    = soft(q - sigma*gamma * A^T( A(q - (2x' - p)) ), sigma*lam)
     T(p, q) = (x', v')
 
 with change ``delta = max(|x' - p|_inf, |v' - q|_inf)``.  x steps at mu
-and v at c*mu, whose product with v's gradient ``gamma*A^T A(q - xbar)`` is
-the ``mu*(1-gamma)`` above, and each soft threshold is its block's step
-times lam.  v's gradient reads the extrapolated ``xbar = 2x' - p``, not p.
-That makes T forward-backward in the non-diagonal metric
+and v at sigma, each soft threshold is its block's step times lam, and
+v's gradient ``gamma*A^T A(q - xbar)`` reads the extrapolated ``xbar = 2x'
+- p``.  That makes T forward-backward in the non-diagonal metric
 
-    ||(x, v)||_P^2 = ||x||^2/mu + ||v||^2/(c*mu) - 2*gamma*Re<x, A^T A v>
+    ||(x, v)||_P^2 = ||x||^2/mu + ||v||^2/sigma - 2*gamma*Re<x, A^T A v>
 
 (Condat, JOTA 2013; Vu, Adv. Comput. Math. 2013), within the framework of
 Combettes & Vu (Optimization 2014): P absorbs the skew part of the saddle
 operator, and what is left, ``C = diag((1-gamma) A^T A, gamma A^T A)``, is
-cocoercive.  T is nonexpansive in P when P > 0 and 2P - C > 0; on an
-eigenvalue g of A^T A both hold for ``2/mu > g*((1-gamma) +
-2*sqrt(gamma*(1-gamma)))``, and mu is 0.95 of that bound at g =
-||A^T A||.  That is 1.9/||A^T A|| at gamma = 0 and at gamma = 0.8, less in
-between (1.17/||A^T A|| near gamma = 0.28) and more above 0.8.  With q - p
-in place of q - xbar and mu = 1.9/||A^T A||, the linear part of T at the
-sweep's gamma = 0.8 multiplies each range mode of the tight DFT frame's
-A^T A by 0.62 +- 0.76i, a near-rotation of modulus 0.98.  On the
-reference sweep that step took 17 775 GMC-stage column-iterations and
-this one takes 10 808, with fewer at every gamma from 0.5 up; at gamma
-0.2 and 0.3, where mu is smaller, it takes 9 % and 5 % more.  The
-high-gamma cells remain slow: at gamma 0.95, 8 of the reference sweep's
-260 GMC cells stop on their 40 000-iteration budget (19 with q - p), at
-gamma 0.9 the same 4 of 260.  At ``gamma = 0`` v stays zero and
+cocoercive.  T is nonexpansive in P when P > 0 and 2P - C > 0.  On an
+eigenvalue e of A^T A, 2P - C acts as the 2x2 matrix ``[[2/mu -
+(1-gamma)*e, -2*gamma*e], [-2*gamma*e, 2/sigma - gamma*e]]``, which is
+positive definite, and then so is P, when ``2/sigma > gamma*e +
+4*gamma^2*e^2/(2/mu - (1-gamma)*e)``.  That bound is tightest at e = g,
+and sigma is 0.95 of it there.  mu is 1.9/g at every gamma, so the l1
+stage is exactly ISTA.  v's gradient step ``sigma*gamma*g`` is 1.9 as
+gamma -> 0 and about 0.4 from gamma = 0.3 up.
+
+On the reference sweep (``ExperimentSpec``, gamma 0.8) the GMC stage takes
+10 997 column-iterations.  Across gamma, the same 260 cells take 3 576 at
+0.1, 4 216 at 0.2, 4 908 at 0.3, 6 096 at 0.5, 8 537 at 0.7, 15 139 at 0.9
+and 17 594 at 0.95, all converged.  At ``gamma = 0`` v stays zero and
 T is the iterative shrinkage / thresholding (ISTA) step of the
 l1-regularized problem, so the kernel carries x alone and applies A and
 its adjoint once each per step.  For complex operators the adjoint is the
@@ -48,8 +47,8 @@ under the same ``tol`` and ``max_iter``.  This is continuation in gamma,
 much as Hale, Yin & Zhang (SIAM J. Optim. 2008) continue in lam.  A
 report's ``iterations``, ``converged`` and ``delta``, and the callback,
 cover the GMC stage.  On the clean STFT chirp at lam 1e-4, gamma 0.7 and
-tol 1e-6, the GMC stage converges in 96 iterations after the l1 solve's
-8 034; started from the l1 answer stopped at tol 1e-5 it takes 15 410.
+tol 1e-6, the GMC stage converges in 183 iterations after the l1 solve's
+8 034; started from the l1 answer stopped at tol 1e-5 it takes 19 500.
 
 At every ``gamma`` the kernel runs safeguarded type-II Anderson
 acceleration of T, which applies to any nonexpansive fixed-point map
@@ -65,7 +64,10 @@ and it is kept when ``||T(z_aa) - z_aa||_2 < ||f||_2``.  Otherwise the
 column steps to T(z) in the same iteration, an extra application of T,
 and clears its history.  The first step is the plain step from the
 stage's start.  A solve returns T(z) of its last point, with ``delta =
-||T(z) - z||_inf`` its change.  On the reference DFT-frame sweep the GMC
+||T(z) - z||_inf`` its change.  At ``gamma > 0`` the 2-norms and the
+inner products weigh each float of v mu/sigma times one of x, as the
+diagonal of P does; P's own norm would need another product with A.  On
+the reference DFT-frame sweep the GMC
 stage takes 0.12 times the iterations of plain primal-dual
 forward-backward from the same start, plus 5 % extra applications of T,
 and the l1 solve 0.19 times those of plain ISTA, plus 8 %.
@@ -89,7 +91,7 @@ columns; ``gmc_solve`` and ``ista_solve`` are its k = 1 case, bit-identical
 to a one-vector loop.  A column is written out when it converges or runs
 out of budget.  Its iterates equal the solo solve's bit for bit, Anderson
 steps included, on every operator: the frames transform each column on
-its own, a dense operator forms each entry as one einsum dot product, and
+its own, a dense operator multiplies each column on its own, and
 every inner product of the history sums one column in the same order at
 any k.  A written-out column leaves the block in the same
 iteration, so it costs no further T or history work.  The steps come
@@ -104,7 +106,6 @@ bit-identical iterate sequences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -128,12 +129,12 @@ class SolveConfig:
     """Configuration of the saddle-point solver.
 
     ``gamma`` in [0, 1) controls penalty non-convexity (0 gives plain l1;
-    1 is excluded: the v-step (1-gamma)/gamma times the x-step vanishes
-    there).  The steps are always x at ``1.9/(||A^T A||_2 * ((1-gamma) +
-    2*sqrt(gamma*(1-gamma))))``, 0.95 of the bound that keeps the
-    primal-dual step nonexpansive in its metric P, and v at
-    (1-gamma)/gamma times that (see the module docstring).  ``tol`` bounds
-    the sup-norm change, over both blocks, of the last step taken: a stage stops once a
+    at 1 the x-block of the saddle operator loses its cocoercive part
+    (1-gamma)*A^T A).  The steps are always x at ``1.9/||A^T A||_2`` and v
+    at 0.95 of the largest step that keeps the primal-dual step
+    nonexpansive in its metric P, given that x-step (see the module
+    docstring).  ``tol`` bounds the sup-norm
+    change, over both blocks, of the last step taken: a stage stops once a
     step moves no entry by more than ``tol``, or after ``max_iter`` steps.
     At ``gamma > 0`` the l1 stage and the GMC stage each get that budget.
     ``lam`` and ``tol`` must be positive and finite, ``max_iter`` an
@@ -148,7 +149,7 @@ class SolveConfig:
     def __post_init__(self):
         _positive(self.lam, "lambda")
         if not (0.0 <= self.gamma < 1.0):
-            raise ValueError("gamma must lie in [0, 1); gamma = 1 breaks the step-size bound")
+            raise ValueError("gamma must lie in [0, 1)")
         _positive(self.tol, "tol")
         _integer(self.max_iter, "max_iter")
 
@@ -181,7 +182,7 @@ def gmc_solve(
     whose v-update reads the extrapolated ``2x' - x``, from x = v = that
     answer (the GMC stage) until the larger of the two block changes drops
     below ``cfg.tol``; at ``gamma = 0`` it is ``ista_solve``.  On the clean
-    STFT chirp at lam 1e-4 and gamma 0.7 the GMC stage takes 96 iterations
+    STFT chirp at lam 1e-4 and gamma 0.7 the GMC stage takes 183 iterations
     after the l1 stage's 8 034 (see the module docstring).
     Hitting ``max_iter`` is reported via ``converged=False``, not an
     exception; a NaN or infinite entry in ``y`` raises ``ValueError``, and
@@ -285,9 +286,9 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
     ``cfg`` gives the shared ``gamma``, ``tol`` and ``max_iter``; its
-    ``lam`` is not read.  The x-step is ``_step`` of ``a_op.gram_norm()``,
-    the v-step that times (1-gamma)/gamma (see the module docstring).  A real block on a DFT frame runs on the half
-    spectrum.  The block g holds T of each column's current point: the
+    ``lam`` is not read.  The steps are ``_steps`` of ``a_op.gram_norm()``
+    (see the module docstring).  A real block on a DFT frame runs on the
+    half spectrum.  The block g holds T of each column's current point: the
     pair (x, v), shape (2, N, k), at ``gamma > 0`` and x alone, (1, N, k),
     at ``gamma = 0``.  The first point is x = v = ``start``, an (N, k)
     block, or 0 without one; on the half spectrum the kernel keeps its
@@ -305,9 +306,7 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     _positive(gram, "operator Gram norm")
     _finite(ys, "y")
     gamma = cfg.gamma
-    mu = _step(gram, gamma)
-    # v steps at c*mu, c = (1-gamma)/gamma, as the metric P needs
-    steps = np.array([mu] if gamma == 0.0 else [mu, (1.0 - gamma) / gamma * mu])
+    steps = np.array(_steps(gram, gamma))
     op, weights, expand = a_op, None, np.asarray
     if isinstance(a_op, DftFrameOperator) and not np.iscomplexobj(ys):
         op = a_op._real_form()
@@ -327,10 +326,12 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     deltas = np.zeros(k)
     thr = steps[:, None, None] * np.array(lams, dtype=np.float64)  # (blocks, 1, k)
     live = np.arange(k)  # original index of each block column
-    anderson = _Anderson(g, weights)
+    # the Anderson norms weigh each block by the inverse of its step, as
+    # the diagonal of the metric P does, relative to x's
+    anderson = _Anderson(g, weights, steps[0] / steps)
 
     def apply(z, cols):
-        return _saddle_step(op, z, ys[:, cols], mu, gamma, thr[..., cols])
+        return _saddle_step(op, z, ys[:, cols], steps, gamma, thr[..., cols])
 
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -354,24 +355,28 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     return (*full(out), iterations, deltas)
 
 
-def _step(gram, gamma):
-    """The x-step mu at ``||A^H A||_2 = gram``: 0.95 of the bound where 2P - C > 0.
+def _steps(gram, gamma):
+    """The x-step mu and, at ``gamma > 0``, the v-step sigma at ``||A^H A||_2 = gram``.
 
-    ``1.9/(gram*((1-gamma) + 2*sqrt(gamma*(1-gamma))))``, which is exactly
-    ``1.9/gram`` at ``gamma = 0`` (see the module docstring).
+    mu is ``1.9/gram`` at every gamma; sigma is 0.95 of the largest v-step
+    that keeps 2P - C > 0 with that mu (see the module docstring).
     """
-    return 1.9 / (gram * ((1.0 - gamma) + 2.0 * math.sqrt(gamma * (1.0 - gamma))))
+    mu = 1.9 / gram
+    if gamma == 0.0:
+        return (mu,)
+    slack = 2.0 / mu - (1.0 - gamma) * gram  # the x entry of 2P - C at g = gram
+    return mu, 1.9 / (gamma * gram * (1.0 + 4.0 * gamma * gram / slack))
 
 
-def _saddle_step(a_op, z, ys, mu, gamma, thr):
+def _saddle_step(a_op, z, ys, steps, gamma, thr):
     """T of the columns of ``z``: one primal-dual forward-backward step from each.
 
-    ``mu`` is the x-step and ``thr`` the (blocks, 1, k) thresholds.  x steps
-    first; v's gradient ``gamma*A^H A(v - xbar)`` then reads the
-    extrapolated ``xbar = 2x' - x``, and the v-step ``c*mu``, c =
-    (1-gamma)/gamma, times it is ``mu*(1-gamma)*A^H A(v - xbar)``.
+    ``steps`` holds the x-step mu and, at ``gamma > 0``, the v-step sigma;
+    ``thr`` holds the (blocks, 1, k) thresholds.  x steps first; v's
+    gradient ``gamma*A^H A(v - xbar)`` then reads the extrapolated ``xbar =
+    2x' - x``.
     """
-    x = z[0]
+    x, mu = z[0], steps[0]
     if gamma == 0.0:
         # ISTA, exactly: the v block is not carried
         return _shrink((x - mu * a_op.adjoint_multi(a_op.forward_multi(x) - ys))[None], thr)
@@ -379,7 +384,7 @@ def _saddle_step(a_op, z, ys, mu, gamma, thr):
     x_next = _shrink(x - mu * a_op.adjoint_multi(a_op.forward_multi(x + gamma * (v - x)) - ys),
                      thr[0])
     d = v - (2.0 * x_next - x)
-    v_next = _shrink(v - mu * (1.0 - gamma) * a_op.adjoint_multi(a_op.forward_multi(d)), thr[1])
+    v_next = _shrink(v - steps[1] * gamma * a_op.adjoint_multi(a_op.forward_multi(d)), thr[1])
     return np.stack((x_next, v_next))
 
 
@@ -397,10 +402,11 @@ class _Anderson:
     Gram row; their Anderson coefficients solve to zero, so they add
     nothing to the extrapolation either.  The history and one (k, blocks,
     N) buffer ``z``, which holds each column's point and then its residual,
-    are allocated once per block; ``step`` views ``z`` as real rows.  With
-    ``weights``, the Gram rows and squared norms are weighted sums over the
-    entries of a column; the sup-norm change and the extrapolation stay
-    unweighted.
+    are allocated once per block; ``step`` views ``z`` as real rows.  The
+    Gram rows and squared norms are weighted sums over the entries of a
+    column: an entry counts its ``weights`` entry (1 without them) times
+    its block's ``scales`` entry.  The sup-norm change and the
+    extrapolation stay unweighted.
 
     The products with the history are einsums over whole (k, m, width)
     slot stacks, and squared norms sum whole rows: for those shapes a
@@ -408,13 +414,16 @@ class _Anderson:
     the bits of its solo solve.
     """
 
-    def __init__(self, g, weights=None):
+    def __init__(self, g, weights, scales):
         blocks, n, k = g.shape
         width = g[..., 0].size * g.itemsize // 8  # float64s per column
         m = min(_MEMORY, width)  # more changes than a row has floats are linearly dependent
         # the weight of each float of a row: entries are (blocks, n), each of
-        # itemsize // 8 floats
-        self.w = None if weights is None else np.repeat(np.tile(weights, blocks), g.itemsize // 8)
+        # itemsize // 8 floats, and block b's entries count scales[b] times
+        self.w = None
+        if weights is not None or any(s != 1.0 for s in scales):
+            entry = np.ones(n) if weights is None else weights
+            self.w = np.repeat(np.concatenate([entry * s for s in scales]), g.itemsize // 8)
         self.df = np.zeros((k, m, width))
         self.dg = np.zeros((k, m, width))
         self.gram = np.zeros((k, m, m))

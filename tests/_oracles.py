@@ -118,16 +118,21 @@ def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q, paper=False):
     the others towards zero by it (complex entries keep their phase).  v's
     gradient reads the extrapolated x, ``2 x' - p``: the primal-dual step,
     forward-backward in the metric P of the solvers' module docstring, with
-    ``b = c*gamma*a`` and ``t = c*a*lam``, c = (1-gamma)/gamma.  With
+    ``b = gamma*sigma`` and ``t = sigma*lam`` at its v-step sigma.  With
     ``paper=True`` it reads p, as in the paper's step ``a = 1.9/rho``,
-    ``b = gamma*a`` and ``s = t = a*lam``.  Each product is the einsum dot
-    product ``DenseOperator`` applies to a column, so the bits match it.
-    Returns the stacked (x', v').
+    ``b = gamma*a`` and ``s = t = a*lam``.  Each product is formed as
+    ``DenseOperator`` forms one column's, so the bits match it.  Returns
+    the stacked (x', v').
     """
     a = np.asarray(entries)
 
     def prod(mat, u):
-        return np.einsum("mn,nk->mk", np.ascontiguousarray(mat), u[:, None])[:, 0]
+        # one column as DenseOperator multiplies it: a matrix-vector product
+        # for rows of 16 entries or more, else einsum dot products
+        mat, u = np.ascontiguousarray(mat), np.ascontiguousarray(u)
+        if mat.shape[1] >= 16:
+            return np.matmul(mat, u[None, :, None])[0, :, 0]
+        return np.einsum("mn,nk->mk", mat, u[:, None])[:, 0]
 
     def shrink(z, t):
         m = np.abs(z)
@@ -142,7 +147,7 @@ def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q, paper=False):
     return np.stack((x, shrink(q - steps[1] * prod(ah, prod(a, q - xbar)), thresholds[1])))
 
 
-def dense_saddle_steps(entries, y, gamma, steps, thresholds, memory=0, start=None):
+def dense_saddle_steps(entries, y, gamma, steps, thresholds, scales, memory=0, start=None):
     """Endless ``(x, v, delta)`` of the two-block saddle recurrence.
 
     Written out for one vector, with dense products and fixed steps and
@@ -156,10 +161,12 @@ def dense_saddle_steps(entries, y, gamma, steps, thresholds, memory=0, start=Non
     Otherwise the next point is the type-II Anderson point of the last
     ``min(memory, width)`` steps, in the kernel's formulas, where width is
     the number of floats in a row.  Points are real rows: x then v (x alone
-    at ``gamma = 0``), complex entries as (re, im).  With f = T(z) - z, a
-    step from z to z' records ``df = f' - f`` and ``dg = T(z') - T(z)`` in
-    ring slot ``s``, sets row and column s of ``H = df^T df`` to that
-    slot's inner products r, and moves ``b = df^T f`` to ``b + r``, with
+    at ``gamma = 0``), complex entries as (re, im).  The inner products and
+    squared norms weigh the floats of block b by ``scales[b]``.  With f =
+    T(z) - z, a step from z to z' records ``df = f' - f`` and ``dg = T(z')
+    - T(z)`` in ring slot ``s``, sets row and column s of ``H = df^T df``
+    to that slot's inner products r, and moves ``b = df^T f`` to ``b + r``,
+    with
     ``b_s = df_s^T f' = (|f'|^2 - |f|^2 + r_s) / 2``.  The inner products
     over all slots and the combination are the kernel's einsums; a squared
     norm is ``np.sum`` of the elementwise square.  When H has a positive
@@ -182,12 +189,14 @@ def dense_saddle_steps(entries, y, gamma, steps, thresholds, memory=0, start=Non
 
     def residual(z, g1):
         f = rows(g1 - z)
-        return f, np.sum(f * f), float(np.max(np.abs(g1 - z)))
+        return f, np.sum(f * f * w), float(np.max(np.abs(g1 - z)))
 
     g = np.zeros((blocks, a.shape[1]), dtype=np.result_type(a, y, np.float64))
     if start is not None:
         g[:] = start
     width = rows(g).size
+    w = np.repeat(np.concatenate([np.full(a.shape[1], s) for s in scales[:blocks]]),
+                  g.itemsize // 8)
     memory = min(memory, width)
     df, dg = np.zeros((memory, width)), np.zeros((memory, width))
     gram, rhs = np.zeros((memory, memory)), np.zeros(memory)
@@ -211,7 +220,7 @@ def dense_saddle_steps(entries, y, gamma, steps, thresholds, memory=0, start=Non
         if memory and slot >= 0:
             df[slot] = f1 - f
             dg[slot] = rows(g1) - rows(g)
-            row = np.einsum("kmw,kw->km", df[None], df[slot][None])[0]
+            row = np.einsum("kmw,kw->km", df[None], (df[slot] * w)[None])[0]
             gram[slot, :] = gram[:, slot] = row
             rhs += row
             rhs[slot] = 0.5 * (norm2_1 - norm2 + row[slot])

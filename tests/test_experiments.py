@@ -203,7 +203,7 @@ class TestDenoiseFrame:
     def test_high_gamma_cell_converges(self):
         # a lambda = 0.5, gamma = 0.9 GMC cell that the step whose v-update
         # read x, not 2x' - x, left unconverged at the 40 000-iteration budget
-        # (delta 2.0e-5); the primal-dual step converges in under 900
+        # (delta 2.0e-5); the primal-dual step converges in 359
         spec = ExperimentSpec()
         noisy = add_awgn(make_two_sine(spec), 1.0, (77825, 1))
         frame = DftFrameOperator(spec.signal_len, spec.coef_len)
@@ -282,7 +282,7 @@ class TestSweep:
         # run_sweep builds it: Anderson memory 5 took 6 044 column-iterations
         # here and memory 10 took 3 402, both at the paper's step from 0; the
         # per-block step from the l1 answer took 2 001, and the primal-dual
-        # step, whose v-update reads 2x' - x, takes 1 249.  The bound sits
+        # step, whose v-update reads 2x' - x, takes 1 179.  The bound sits
         # 25 % above that, so undoing the primal-dual step fails here
         spec = ExperimentSpec(realizations=2)
         frame = DftFrameOperator(spec.signal_len, spec.coef_len)
@@ -295,7 +295,7 @@ class TestSweep:
         reports = solve_many(frame, ys, cfgs)
         assert len(reports) == 26
         assert all(r.converged for r in reports)
-        assert sum(r.iterations for r in reports) <= 1_560
+        assert sum(r.iterations for r in reports) <= 1_475
 
 
 class TestCsvFormat:

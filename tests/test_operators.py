@@ -70,10 +70,6 @@ def test_every_operator_class_is_covered():
     assert defined <= {type(op) for op in BLOCK_OPERATORS}
 
 
-def _dense_backed(op):
-    return isinstance(op.base if isinstance(op, ScaledOperator) else op, DenseOperator)
-
-
 def assert_bitwise(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -162,9 +158,10 @@ class TestForwardAdjoint:
                        np.stack([op.adjoint(ys[:, j]) for j in range(3)], axis=1))
 
     def test_dense_columns_do_not_depend_on_k_or_layout(self):
-        # DenseOperator's einsum dot products give each column the bits of
+        # DenseOperator's per-column products give each column the bits of
         # its one-column product, whatever k and whatever the block's memory
-        # layout, as the solvers' strided views pass it.  numpy does not
+        # layout, as the solvers' strided views pass it; the draws cover
+        # rows shorter and longer than _GEMV_MIN_ROW.  numpy does not
         # promise this.  ``entries @ xs`` breaks it in most of these draws,
         # and so does an einsum over C-ordered blocks.
         rng = np.random.default_rng(6)
@@ -182,6 +179,22 @@ class TestForwardAdjoint:
                     got = apply(block)
                     for j in range(k):
                         assert_bitwise(got[:, j], solo[j])
+
+    @pytest.mark.parametrize("m,n,k", [(3, 2, 10_000), (20, 16, 10_000), (3, 10_000, 5)],
+                             ids=["eval_grid_k", "matrix_vector_k", "long_rows"])
+    def test_dense_columns_do_not_depend_on_k_at_large_sizes(self, m, n, k):
+        # The same property past numpy's 8192-element iterator buffer: k as
+        # large as an eval grid's columns on a 2-column B, on both product
+        # paths, and a long sum.  Every field mix is tried, since a real
+        # operator on a complex block casts.
+        rng = np.random.default_rng(7)
+        for cplx_op, cplx_x in ((False, False), (False, True), (True, False), (True, True)):
+            op = DenseOperator(random_vec(rng, m * n, cplx_op).reshape(m, n))
+            for apply, rows in ((op.forward_multi, n), (op.adjoint_multi, m)):
+                xs = random_vec(rng, rows * k, cplx_x).reshape(rows, k)
+                got = apply(xs)
+                for j in {0, 1, k // 2, k - 2, k - 1, *rng.integers(0, k, size=8).tolist()}:
+                    assert_bitwise(got[:, j], apply(xs[:, j].copy()[:, None])[:, 0])
 
 
 class TestStftOracle:

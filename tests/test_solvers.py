@@ -286,8 +286,8 @@ class TestInertialStability:
 class TestMetricStep:
     """The solvers' primal-dual step T against the metric P it is taken in.
 
-    With G = A^H A, c = (1-gamma)/gamma and the x-step mu, T is
-    forward-backward in ``||(x, v)||_P^2 = ||x||^2/mu + ||v||^2/(c*mu) -
+    With G = A^H A, the x-step mu and the v-step sigma, T is
+    forward-backward in ``||(x, v)||_P^2 = ||x||^2/mu + ||v||^2/sigma -
     2*gamma*Re<x, G v>`` with the cocoercive part C = diag((1-gamma) G,
     gamma G); it is nonexpansive there when P > 0 and 2P - C > 0.
     """
@@ -309,17 +309,18 @@ class TestMetricStep:
                 other = other + 1j * rng.normal(size=z.shape) * 1e-2
             lam, gamma = rng.uniform(0.05, 2.0), rng.uniform(0.02, 0.98)
             op = DenseOperator(entries)
-            mu, c = gmcreg.solvers._step(op.gram_norm(), gamma), (1.0 - gamma) / gamma
-            thr = np.array([mu, c * mu])[:, None, None] * lam
+            steps = np.array(gmcreg.solvers._steps(op.gram_norm(), gamma))
+            mu, sigma = steps
+            thr = steps[:, None, None] * lam
             with np.errstate(divide="ignore", invalid="ignore"):
-                t, t_other = (gmcreg.solvers._saddle_step(op, p, ys, mu, gamma, thr)
+                t, t_other = (gmcreg.solvers._saddle_step(op, p, ys, steps, gamma, thr)
                               for p in (z, other))
             gram = entries.conj().T @ entries
 
             def norm2(d):
                 cross = np.real(np.sum(np.conj(d[0]) * (gram @ d[1]), axis=0))
                 return (np.sum(np.abs(d[0]) ** 2, axis=0) / mu
-                        + np.sum(np.abs(d[1]) ** 2, axis=0) / (c * mu) - 2.0 * gamma * cross)
+                        + np.sum(np.abs(d[1]) ** 2, axis=0) / sigma - 2.0 * gamma * cross)
 
             assert np.all(norm2(z - other) > 0.0)
             assert np.all(norm2(t - t_other) <= norm2(z - other) * (1.0 + 1e-12))
@@ -327,47 +328,42 @@ class TestMetricStep:
     def test_metric_bound_holds_at_the_chosen_step(self):
         # On an eigenvector of G with eigenvalue g in [0, ||G||], P and 2P - C
         # act as 2x2 matrices; both must be positive definite at every g.
-        # The step is 0.95 of the bound on 2P - C, so at g = ||G|| its
-        # smaller eigenvalue is small but positive.
-        step = gmcreg.solvers._step
+        # The v-step is 0.95 of the bound on 2P - C, so at g = ||G|| its
+        # smaller eigenvalue is small but positive.  The x-step is 1.9/||G||
+        # at every gamma, bit for bit, so the l1 stage is ISTA's.
         gram = 3.7
-        assert step(gram, 0.0) == 1.9 / gram
+        assert gmcreg.solvers._steps(gram, 0.0) == (1.9 / gram,)
+
+        def smallest_eigenvalues(mu, sigma, gamma, g):
+            p = np.array([[1.0 / mu, -gamma * g], [-gamma * g, 1.0 / sigma]])
+            cocoercive = np.diag([(1.0 - gamma) * g, gamma * g])
+            return np.linalg.eigvalsh(p)[0], np.linalg.eigvalsh(2.0 * p - cocoercive)[0]
+
         for gamma in np.linspace(0.01, 0.99, 99):
-            mu, c = step(gram, gamma), (1.0 - gamma) / gamma
+            mu, sigma = gmcreg.solvers._steps(gram, gamma)
+            assert mu == 1.9 / gram
             for g in np.linspace(0.0, gram, 11):
-                p = np.array([[1.0 / mu, -gamma * g], [-gamma * g, 1.0 / (c * mu)]])
-                cocoercive = np.diag([(1.0 - gamma) * g, gamma * g])
-                assert np.linalg.eigvalsh(p)[0] > 0.0
-                assert np.linalg.eigvalsh(2.0 * p - cocoercive)[0] > 0.0
+                assert min(smallest_eigenvalues(mu, sigma, gamma, g)) > 0.0
             # past the bound, 2P - C is indefinite at g = ||G||
-            mu = 2.05 / (gram * ((1.0 - gamma) + 2.0 * np.sqrt(gamma * (1.0 - gamma))))
-            p = np.array([[1.0 / mu, -gamma * gram], [-gamma * gram, 1.0 / (c * mu)]])
-            cocoercive = np.diag([(1.0 - gamma) * gram, gamma * gram])
-            assert np.linalg.eigvalsh(2.0 * p - cocoercive)[0] < 0.0
-
-
-def solver_step(entries, gamma=0.0):
-    """The solvers' x-step on ``DenseOperator(entries)``, formed as ``_solve_block`` forms it.
-
-    ``1.9/(||A^H A||*((1-gamma) + 2*sqrt(gamma*(1-gamma))))``: 1.9/||A^H A||
-    at gamma = 0.
-    """
-    gram = DenseOperator(entries).gram_norm()
-    return 1.9 / (gram * ((1.0 - gamma) + 2.0 * np.sqrt(gamma * (1.0 - gamma))))
+            assert smallest_eigenvalues(mu, sigma / 0.95 * 1.025, gamma, gram)[1] < 0.0
 
 
 def solver_steps(entries, lam, gamma):
-    """The oracles' (steps, thresholds) of the solvers' primal-dual step.
+    """The oracles' (steps, thresholds, scales) of the solvers' primal-dual step.
 
-    x steps at mu = ``solver_step`` with threshold mu*lam; at ``gamma > 0``
-    v steps at c*mu, c = (1-gamma)/gamma, with threshold c*mu*lam, so its
-    gradient term ``c*mu*gamma*A^H A(v - xbar)`` is ``mu*(1-gamma)*A^H A(v - xbar)``.
-    Each product is formed as ``_solve_block`` and ``_saddle_step`` form it.
+    x steps at ``mu = 1.9/||A^H A||`` with threshold mu*lam.  At ``gamma >
+    0`` v steps at sigma, 0.95 of the largest step that keeps 2P - C > 0
+    (``TestMetricStep``), with threshold sigma*lam, so its gradient term
+    is ``sigma*gamma*A^H A(v - xbar)``, and the Anderson norms weigh v by
+    mu/sigma.  Each number is formed as ``_solve_block`` forms it.
     """
-    mu = solver_step(entries, gamma)
+    gram = DenseOperator(entries).gram_norm()
+    mu = 1.9 / gram
     if gamma == 0.0:
-        return (mu, 0.0), (mu * lam, mu * lam)  # the v block is not stepped
-    return (mu, mu * (1.0 - gamma)), (mu * lam, (1.0 - gamma) / gamma * mu * lam)
+        return (mu, 0.0), (mu * lam, mu * lam), (1.0,)  # the v block is not stepped
+    slack = 2.0 / mu - (1.0 - gamma) * gram
+    sigma = 1.9 / (gamma * gram * (1.0 + 4.0 * gamma * gram / slack))
+    return (mu, sigma * gamma), (mu * lam, sigma * lam), (1.0, mu / sigma)
 
 
 def paper_steps(entries, lam, gamma):
@@ -526,8 +522,9 @@ class TestSolveMany:
             assert rep.iterations == solo.iterations
             assert rep.converged == solo.converged
             # every operator sums a column in the same order at any k
-            assert rep.x_star.tobytes() == solo.x_star.tobytes()
-            assert rep.v_star.tobytes() == solo.v_star.tobytes()
+            for got, want in ((rep.x_star, solo.x_star), (rep.v_star, solo.v_star)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
             if gamma == 0.0:
                 assert_v_is_zero(rep)
 
