@@ -144,14 +144,15 @@ def _read(what: str, reader, path):
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> tuple:
-    """Inclusive arithmetic grid of at most 10 001 values; the default flags give 13."""
+    """Arithmetic grid from lo to at most hi, of at most 10 001 values; the defaults give 13."""
     _finite((lo, hi, step), "lambda bounds and step")
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and lambda-max >= lambda-min")
     steps = (hi - lo) / step
     if not steps <= _MAX_GRID_STEPS:  # also catches an overflow to inf
         raise ValueError(f"lambda grid would take more than {_MAX_GRID_STEPS} steps")
-    return tuple(lo + step * k for k in range(int(round(steps)) + 1))
+    # floor, forgiving the rounding of (hi - lo) / step just below a whole count
+    return tuple(lo + step * k for k in range(int(steps + 1e-9) + 1))
 
 
 def _check_lengths(**lengths) -> None:

@@ -8,9 +8,9 @@ vectors.  Operators are immutable after construction (a dense operator
 keeps its Gram norm once taken, a value its entries fix) and their
 application is pure, so instances can be shared freely across threads.
 
-The DFT frame also has a private real-signal form on the half spectrum of
-Hermitian coefficient vectors, with weighted inner products; the solvers
-run real-signal DFT-frame solves on it.
+The solvers run real-data solves on each operator's private
+``_real_form()``: the operator itself, or for the DFT frame the half
+spectrum of Hermitian coefficient vectors, with weighted inner products.
 """
 
 from __future__ import annotations
@@ -37,7 +37,11 @@ class LinearOperator:
     which sets every solver's step: each subclass declares it (this module's
     classes exactly), so no step comes from the power-iteration estimate
     ``estimate_gram_norm``, which only checks declared values.
+    ``_real_form()`` is what real-data solves run on: by default the
+    operator itself, with no Anderson ``weights`` and identity ``expand``.
     """
+
+    weights = None
 
     def __init__(self, domain_dim: int, codomain_dim: int, field: str):
         self.domain_dim = _integer(domain_dim, "domain_dim")
@@ -79,6 +83,14 @@ class LinearOperator:
     def adjoint_multi(self, ys) -> np.ndarray:
         """Apply the adjoint to each column of an (M, k) array."""
         raise NotImplementedError
+
+    def expand(self, x) -> np.ndarray:
+        """Domain vectors from kernel coordinates: ``x`` itself here."""
+        return x
+
+    def _real_form(self):
+        """The form real-data solves run on: the operator itself."""
+        return self
 
 
 def _columns(a, n: int) -> np.ndarray:
@@ -128,27 +140,17 @@ class DenseOperator(LinearOperator):
         return _dot_columns(self._adjoint_entries, _columns(ys, self.codomain_dim))
 
 
-# rows at least this long are applied by one BLAS matrix-vector product per
-# column; shorter ones by einsum, which pays no per-column call
-_GEMV_MIN_ROW = 16
-
-
 def _dot_columns(mat, xs):
     """``mat @ xs`` for a C-ordered ``mat``, with one column's bits at any k.
 
     Each column of ``xs`` is copied to contiguous memory and multiplied on
-    its own: by a matrix-vector product (``np.matmul`` over the stack of
-    columns) for rows of ``_GEMV_MIN_ROW`` or more entries, else by einsum
-    dot products of a row with a column.  Either way a column's summation
-    order depends on neither k nor the layout ``xs`` came in, and the
-    choice depends on ``mat`` alone.  One BLAS matrix-matrix product sums a
-    block's columns in another order than a vector's, and so does an einsum
-    over a C-ordered block.
+    its own, by a matrix-vector product (``np.matmul`` over the stack of
+    columns), so a column's summation order depends on neither k nor the
+    layout ``xs`` came in.  One BLAS matrix-matrix product sums a block's
+    columns in another order than a vector's.
     """
     cols = np.ascontiguousarray(xs.T)  # (k, n): one contiguous row per column
-    if mat.shape[1] >= _GEMV_MIN_ROW:
-        return np.matmul(mat, cols[..., None])[..., 0].T
-    return np.einsum("mn,nk->mk", mat, cols.T)
+    return np.matmul(mat, cols[..., None])[..., 0].T
 
 
 class DftFrameOperator(LinearOperator):
@@ -198,8 +200,8 @@ class _HalfSpectrum:
     N is even, do not enter) and is the adjoint of its adjoint only under
     the inner product ``Re sum weights * conj(h) * h'``, which equals the
     full one on the expanded vectors: interior entries stand for two.  So
-    it is no ``LinearOperator``; the solvers alone use it, and ``expand``
-    gives back the full Hermitian x.
+    it is no ``LinearOperator``; it is the frame's ``_real_form()``, and
+    ``expand`` gives back the full Hermitian x.
     """
 
     field = COMPLEX
@@ -212,6 +214,9 @@ class _HalfSpectrum:
         self.weights[0] = 1.0
         if coef_len % 2 == 0:
             self.weights[-1] = 1.0  # the Nyquist entry is its own mirror
+
+    def gram_norm(self) -> float:
+        return 1.0  # the frame's: A A^H = I on the real signals it maps to
 
     def forward_multi(self, hs):
         hs = _columns(hs, self.domain_dim)
@@ -236,15 +241,7 @@ class StftFrameOperator(LinearOperator):
     windowed analysis transform.  The analysis window is a square-root Hann
     scaled so that forward(adjoint(y)) == y exactly: frames starting before
     sample 0 are included so the window-squared partition of unity also
-    holds at the boundaries.
-
-    Real-signal solves run on the full coefficients, unlike on the DFT
-    frame.  The same half-spectrum form per segment was tried when the GMC
-    solve of the noise-free chirp at lambda 1e-4 still ran from 0 and the
-    full form converged at iteration 39 852 of its 40 000: the changed
-    rounding left it unconverged (``delta`` 1.10e-6 against a tolerance of
-    1e-6).  Started from its l1 answer, that GMC solve now takes 183
-    iterations, so the form has the margin to be tried again.
+    holds at the boundaries.  Its real form is the frame itself.
     """
 
     def __init__(self, signal_len: int, segment_len: int = 64):

@@ -125,7 +125,7 @@ def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
         return np.zeros_like(xs), np.zeros(xs.shape[1]), 0, 0.0
     cfg = SolveConfig(1.0, tol=pen.inner_tol, max_iter=pen.inner_max_iter)
     bx, ones = pen.b_op.forward_multi(xs), np.ones(xs.shape[1])
-    v, _, iters, resids = _solve_block(pen.b_op, bx, ones, cfg)
+    (v,), iters, resids = _solve_block(pen.b_op, bx, ones, cfg)
     values, resid = _inner_values(pen, xs, v), float(resids.max())
     if resid <= pen.inner_tol:
         return v, values, int(iters.max()), resid

@@ -72,18 +72,18 @@ stage takes 0.12 times the iterations of plain primal-dual
 forward-backward from the same start, plus 5 % extra applications of T,
 and the l1 solve 0.19 times those of plain ISTA, plus 8 %.
 
-A real signal on a DFT frame runs on the half spectrum.  From x = v = 0,
-and so from the l1 answer, every iterate is then Hermitian,
-``x[N - n] == conj(x[n])``, and so is every Anderson point, whose
-coefficients are real; the GMC stage starts from the l1 stage's half
-spectrum.  The kernel carries
-h = x[0..N/2] only and applies the frame by real FFTs.  The Anderson
-inner products (the squared norms and the Gram rows) weight each entry of
-h by the number of entries of x it stands for, 1 for x[0] (and x[N/2] at
-even N) and 2 for the rest, so they equal the full ones; the sup-norm
-change, the shrink and the combination need no weights.  The answer is
-expanded to the full Hermitian x when the solve returns.  Complex
-signals, dense operators and the STFT frame run on the full coefficients.
+A real signal runs on the operator's real form (``_real_form()``), which
+is the operator itself except on the DFT frame.  There, from x = v = 0,
+and so from the l1 answer, every iterate is Hermitian, ``x[N - n] ==
+conj(x[n])``, and so is every Anderson point, whose coefficients are
+real.  The form carries h = x[0..N/2] only and applies the frame by real
+FFTs; its ``weights`` count each entry of h as the number of entries of x
+it stands for, 1 for x[0] (and x[N/2] at even N) and 2 for the rest, so
+the Anderson inner products (the squared norms and the Gram rows) equal
+the full ones.  The sup-norm change, the shrink and the combination need
+no weights.  Both stages run on the form, the GMC stage from the l1
+stage's block as it stands, and the reports expand it to the domain.
+Complex signals run on the operator itself.
 
 One kernel iterates an (N, k) block of independent problems on a single
 operator, each column with its own ``lam``.  ``solve_many`` hands it k
@@ -112,7 +112,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exceptions import _finite, _integer, _positive
-from .operators import COMPLEX, DftFrameOperator, LinearOperator
+from .operators import COMPLEX, LinearOperator
 from .scalar import FirmParams, _shrink, firm, soft
 
 # Anderson memory: steps each column extrapolates from.  On the reference sweep
@@ -242,11 +242,12 @@ def _solve_one(a_op, y, cfg, callback) -> SolveReport:
 def _l1_and_gmc(a_op, ys, cfgs, callback=None):
     """``solve_many``'s reports at ``gamma = 0`` and at the cfgs' ``gamma``.
 
-    Checks the block as ``solve_many`` documents, runs the l1 block and, at
-    ``gamma > 0``, the GMC block started from its x (in kernel
-    coordinates: the l1 answer's half spectrum on a real DFT solve), both
-    under the shared ``tol`` and ``max_iter``.  ``callback`` sees the last
-    stage only.  At ``gamma = 0`` both entries are the l1 reports.
+    Checks the block as ``solve_many`` documents and runs, on ``a_op``'s
+    ``_real_form()`` for real data and on ``a_op`` else, the l1 block and,
+    at ``gamma > 0``, the GMC block started from its x in that form's
+    coordinates, both under the shared ``tol`` and ``max_iter``.
+    ``callback`` sees the last stage only.  At ``gamma = 0`` both entries
+    are the l1 reports.
     """
     ys = np.asarray(ys)
     cfgs = tuple(cfgs)
@@ -260,16 +261,19 @@ def _l1_and_gmc(a_op, ys, cfgs, callback=None):
     if len({(c.gamma, c.tol, c.max_iter) for c in cfgs}) != 1:
         raise ValueError("cfgs must agree on gamma, tol and max_iter")
     cfg, lams = cfgs[0], [c.lam for c in cfgs]
+    op = a_op if np.iscomplexobj(ys) else a_op._real_form()
     if cfg.gamma == 0.0:
-        l1 = _reports(cfg.tol, *_solve_block(a_op, ys, lams, cfg, callback))
+        l1 = _reports(op, cfg.tol, *_solve_block(op, ys, lams, cfg, callback))
         return l1, l1
-    l1 = _solve_block(a_op, ys, lams, replace(cfg, gamma=0.0))
-    gmc = _solve_block(a_op, ys, lams, cfg, callback, start=l1[0])
-    return _reports(cfg.tol, *l1), _reports(cfg.tol, *gmc)
+    l1 = _solve_block(op, ys, lams, replace(cfg, gamma=0.0))
+    gmc = _solve_block(op, ys, lams, cfg, callback, start=l1[0][0])
+    return _reports(op, cfg.tol, *l1), _reports(op, cfg.tol, *gmc)
 
 
-def _reports(tol, x, v, iterations, delta) -> tuple[SolveReport, ...]:
-    """One ``SolveReport`` per column of a ``_solve_block`` result."""
+def _reports(op, tol, g, iterations, delta) -> tuple[SolveReport, ...]:
+    """One ``SolveReport`` per column of a ``_solve_block`` block ``g``, expanded by ``op``."""
+    x = op.expand(g[0])
+    v = op.expand(g[1]) if len(g) == 2 else np.zeros_like(x)
     return tuple(
         SolveReport(
             x_star=x[:, j].copy(),
@@ -282,45 +286,35 @@ def _reports(tol, x, v, iterations, delta) -> tuple[SolveReport, ...]:
     )
 
 
-def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
+def _solve_block(op, ys, lams, cfg, callback=None, start=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
-    ``cfg`` gives the shared ``gamma``, ``tol`` and ``max_iter``; its
-    ``lam`` is not read.  The steps are ``_steps`` of ``a_op.gram_norm()``
-    (see the module docstring).  A real block on a DFT frame runs on the
-    half spectrum.  The block g holds T of each column's current point: the
-    pair (x, v), shape (2, N, k), at ``gamma > 0`` and x alone, (1, N, k),
-    at ``gamma = 0``.  The first point is x = v = ``start``, an (N, k)
-    block, or 0 without one; on the half spectrum the kernel keeps its
-    first N//2 + 1 rows, all of a Hermitian start.  Each iteration is one
-    accepted step per column, ``_Anderson``'s safeguarded step (see the
-    module docstring).  A column whose change drops to ``tol``, or whose
-    budget runs out, is written out and leaves the block in the same
-    iteration.  ``callback`` receives column 0's ``SolveReport`` each
-    iteration; only single solves pass one.  Returns full-length (N, k)
-    blocks x and v, formed by ``full`` as the callback reports are (v zero
-    at ``gamma = 0``), and per column the iteration count and last change;
-    a NaN change raises ``FloatingPointError``.
+    ``op`` is an operator or its ``_real_form()``, whose ``weights`` weigh
+    the Anderson inner products.  ``cfg`` gives the shared ``gamma``,
+    ``tol`` and ``max_iter``; its ``lam`` is not read.  The steps are
+    ``_steps`` of ``op.gram_norm()`` (see the module docstring).  The block
+    g holds T of each column's current point: the pair (x, v), shape (2, N,
+    k), at ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.  The
+    first point is x = v = ``start``, an (N, k) block, or 0 without one.
+    Each iteration is one accepted step per column, ``_Anderson``'s
+    safeguarded step (see the module docstring).  A column whose change
+    drops to ``tol``, or whose budget runs out, is written out and leaves
+    the block in the same iteration.  ``callback`` receives column 0's
+    ``SolveReport`` each iteration; only single solves pass one.  Returns
+    each column's final g in ``op``'s coordinates, and per column the
+    iteration count and last change; a NaN change raises
+    ``FloatingPointError``.
     """
-    gram = a_op.gram_norm()
+    gram = op.gram_norm()
     _positive(gram, "operator Gram norm")
     _finite(ys, "y")
     gamma = cfg.gamma
     steps = np.array(_steps(gram, gamma))
-    op, weights, expand = a_op, None, np.asarray
-    if isinstance(a_op, DftFrameOperator) and not np.iscomplexobj(ys):
-        op = a_op._real_form()
-        weights, expand = op.weights, op.expand
-
-    def full(g):
-        x = expand(g[0])
-        return x, (expand(g[1]) if len(g) == 2 else np.zeros_like(x))
-
     k = ys.shape[1]
     dtype = np.complex128 if (op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
     g = np.zeros((len(steps), op.domain_dim, k), dtype=dtype)
     if start is not None:
-        g[:] = start[: op.domain_dim]
+        g[:] = start
     out = np.zeros_like(g)  # each column's final g, written when it retires
     iterations = np.zeros(k, dtype=np.int64)
     deltas = np.zeros(k)
@@ -328,7 +322,7 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
     live = np.arange(k)  # original index of each block column
     # the Anderson norms weigh each block by the inverse of its step, as
     # the diagonal of the metric P does, relative to x's
-    anderson = _Anderson(g, weights, steps[0] / steps)
+    anderson = _Anderson(g, op.weights, steps[0] / steps)
 
     def apply(z, cols):
         return _saddle_step(op, z, ys[:, cols], steps, gamma, thr[..., cols])
@@ -340,7 +334,7 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
             if callback is not None:
-                callback(*_reports(cfg.tol, *full(g[..., :1]), [i], delta))
+                callback(*_reports(op, cfg.tol, g[..., :1], [i], delta))
             done = (delta <= cfg.tol) | (i == cfg.max_iter)
             if not done.any():
                 continue
@@ -352,7 +346,7 @@ def _solve_block(a_op, ys, lams, cfg, callback=None, start=None):
             keep = ~done
             g, ys, thr, live = (a[..., keep] for a in (g, ys, thr, live))
             anderson.compact(keep)
-    return (*full(out), iterations, deltas)
+    return out, iterations, deltas
 
 
 def _steps(gram, gamma):
@@ -513,10 +507,13 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
     ``firm(aty_n/alpha_n^2; lam/alpha_n^2, lam/(gamma*alpha_n^2))`` for
     ``0 < gamma < 1``; soft thresholding at ``gamma = 0``, and where the
     upper threshold overflows (its mu -> inf limit); the hard-threshold
-    limit at ``gamma = 1`` (where the firm thresholds coincide).
+    limit at ``gamma = 1`` (where the firm thresholds coincide).  Both
+    arrays must be real and finite (``ValueError`` otherwise).
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    aty = np.asarray(aty, dtype=np.float64)
+    if np.iscomplexobj(alphas) or np.iscomplexobj(aty):
+        raise ValueError("alphas and aty must be real")
+    alphas = _finite(np.asarray(alphas, dtype=np.float64), "alphas")
+    aty = _finite(np.asarray(aty, dtype=np.float64), "aty")
     if alphas.shape != aty.shape:
         raise ValueError("alphas and aty must have the same shape")
     if not np.all(alphas > 0):

@@ -128,11 +128,8 @@ def dense_saddle_step(entries, y, gamma, steps, thresholds, p, q, paper=False):
 
     def prod(mat, u):
         # one column as DenseOperator multiplies it: a matrix-vector product
-        # for rows of 16 entries or more, else einsum dot products
         mat, u = np.ascontiguousarray(mat), np.ascontiguousarray(u)
-        if mat.shape[1] >= 16:
-            return np.matmul(mat, u[None, :, None])[0, :, 0]
-        return np.einsum("mn,nk->mk", mat, u[:, None])[:, 0]
+        return np.matmul(mat, u[None, :, None])[0, :, 0]
 
     def shrink(z, t):
         m = np.abs(z)

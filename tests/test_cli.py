@@ -331,3 +331,11 @@ class TestSweep:
         assert lambda_grid(0.5, 3.5, 0.25) == ExperimentSpec().lambda_grid
         with pytest.raises(ValueError):
             lambda_grid(1.0, 0.5, 0.25)
+
+    def test_lambda_grid_stops_at_lambda_max(self):
+        from gmcreg.cli import lambda_grid
+
+        # 2.6 steps: the grid ends below --lambda-max, not a step past it
+        assert lambda_grid(0.5, 1.15, 0.25) == (0.5, 0.75, 1.0)
+        # (0.3 - 0.1) / 0.1 rounds to just below 2: still three values
+        assert len(lambda_grid(0.1, 0.3, 0.1)) == 3

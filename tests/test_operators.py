@@ -161,9 +161,9 @@ class TestForwardAdjoint:
         # DenseOperator's per-column products give each column the bits of
         # its one-column product, whatever k and whatever the block's memory
         # layout, as the solvers' strided views pass it; the draws cover
-        # rows shorter and longer than _GEMV_MIN_ROW.  numpy does not
-        # promise this.  ``entries @ xs`` breaks it in most of these draws,
-        # and so does an einsum over C-ordered blocks.
+        # rows from 1 to 39 entries.  numpy does not promise this.
+        # ``entries @ xs`` breaks it in most of these draws, and so does an
+        # einsum over C-ordered blocks.
         rng = np.random.default_rng(6)
         for trial in range(100):
             m, n, k = (int(d) for d in rng.integers(1, 40, size=3))
@@ -184,8 +184,8 @@ class TestForwardAdjoint:
                              ids=["eval_grid_k", "matrix_vector_k", "long_rows"])
     def test_dense_columns_do_not_depend_on_k_at_large_sizes(self, m, n, k):
         # The same property past numpy's 8192-element iterator buffer: k as
-        # large as an eval grid's columns on a 2-column B, on both product
-        # paths, and a long sum.  Every field mix is tried, since a real
+        # large as an eval grid's columns on a 2-column B, short and long
+        # rows, and a long sum.  Every field mix is tried, since a real
         # operator on a complex block casts.
         rng = np.random.default_rng(7)
         for cplx_op, cplx_x in ((False, False), (False, True), (True, False), (True, True)):

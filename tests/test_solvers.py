@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -645,6 +647,37 @@ class TestHalfSpectrumSolves:
             assert a.tobytes() == b.tobytes()
         assert last.delta == without.delta == with_cb.delta
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_real_form_comes_from_the_operator(self, gamma):
+        # an operator that is no DftFrameOperator but hands over the frame's
+        # half spectrum gets the frame's solve, bit for bit
+        op, y = self._problem(20, 48)
+        cfg = SolveConfig(lam=0.3, gamma=gamma, tol=1e-8)
+        got, want = gmc_solve(_WrappedFrame(op), y, cfg), gmc_solve(op, y, cfg)
+        assert got.iterations == want.iterations
+        assert got.x_star.tobytes() == want.x_star.tobytes()
+        assert got.v_star.tobytes() == want.v_star.tobytes()
+
+
+class _WrappedFrame(LinearOperator):
+    """A DFT frame behind a plain ``LinearOperator``, with its real form."""
+
+    def __init__(self, frame):
+        super().__init__(frame.domain_dim, frame.codomain_dim, frame.field)
+        self.frame = frame
+
+    def forward_multi(self, xs):
+        return self.frame.forward_multi(xs)
+
+    def adjoint_multi(self, ys):
+        return self.frame.adjoint_multi(ys)
+
+    def gram_norm(self):
+        return self.frame.gram_norm()
+
+    def _real_form(self):
+        return self.frame._real_form()
+
 
 class TestIsta:
     def test_identity_case(self):
@@ -726,6 +759,23 @@ class TestDiagonalSolve:
             diagonal_solve(np.array([0.0, 1.0]), np.zeros(2), 1.0, 0.5)
         with pytest.raises(ValueError):
             diagonal_solve(np.ones(2), np.zeros(2), 1.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "alphas,aty,match",
+        [
+            ([1.0, 2.0], [1 + 1j, 3.0], "real"),
+            ([1.0, 2.0], [np.nan, 3.0], "aty must be finite"),
+            ([np.inf, 2.0], [1.0, 3.0], "alphas must be finite"),
+        ],
+        ids=["complex_aty", "nan_aty", "inf_alpha"],
+    )
+    def test_bad_arrays_are_refused(self, alphas, aty, match):
+        # refused by name, not with a ComplexWarning and a dropped imaginary
+        # part, a NaN answer, or an error about lam
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                diagonal_solve(np.array(alphas), np.array(aty), 0.5, 0.5)
 
 
 class TestCostValue:
