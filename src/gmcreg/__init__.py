@@ -49,6 +49,7 @@ from .penalties import (
 from .scalar import (
     FirmParams,
     ScalarPenaltyParams,
+    diagonal_solve,
     firm,
     huber,
     scalar_convexity_holds,
@@ -60,7 +61,6 @@ from .scalar import (
 from .solvers import (
     SolveConfig,
     debias_on_support,
-    diagonal_solve,
     gmc_solve,
     ista_solve,
     solve_many,

@@ -282,12 +282,12 @@ def add_awgn(signal: Signal, sigma: float, seed) -> Signal:
 
 
 def nonzero_count(coef) -> int:
-    """Number of coefficients above 1e-3 times the largest magnitude."""
-    mags = np.abs(np.asarray(coef))
-    peak = mags.max(initial=0.0)
-    if peak == 0.0:
-        return 0
-    return int(np.count_nonzero(mags > _ACTIVE_REL_TOL * peak))
+    """Number of coefficients above 1e-3 times the largest magnitude.
+
+    ``coef`` must be finite (``ValueError`` otherwise).
+    """
+    mags = np.abs(_finite(coef, "coef"))
+    return int(np.count_nonzero(mags > _ACTIVE_REL_TOL * mags.max(initial=0.0)))
 
 
 def denoise_frame(
@@ -426,15 +426,14 @@ def coefficient_clusters(coef, frame: DftFrameOperator) -> list[tuple[float, flo
     bins) and reported as a ``(frequency, amplitude)`` pair: the
     magnitude-weighted mean frequency and the peak of the synthesized
     component, which for a narrowband cluster is the amplitude of the
-    sinusoid it estimates.  Sorted by descending amplitude.
+    sinusoid it estimates.  Sorted by descending amplitude.  ``coef`` must
+    be finite (``ValueError`` otherwise).
     """
-    coef = np.asarray(coef)
+    coef = _finite(coef, "coef")
     n = coef.shape[0]
     half = n // 2
     mags = np.abs(coef[1:half])
-    if mags.size == 0 or mags.max() == 0.0:
-        return []
-    active = mags > _ACTIVE_REL_TOL * mags.max()
+    active = mags > _ACTIVE_REL_TOL * mags.max(initial=0.0)
     clusters = []
     start = None
     for i, flag in enumerate(np.append(active, False)):

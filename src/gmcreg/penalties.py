@@ -238,7 +238,4 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
     _finite(xs, "x")
     r = a_op.forward_multi(xs) - y[:, None]
     data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
-    if gamma == 0.0:
-        return data + lam * np.sum(np.abs(xs), axis=0)
-    pen = build_b_from_a(a_op, lam, gamma)
-    return data + lam * eval_gmc_many(pen, xs)
+    return data + lam * eval_gmc_many(build_b_from_a(a_op, lam, gamma), xs)

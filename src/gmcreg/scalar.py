@@ -2,10 +2,12 @@
 
 Huber and minimax-concave (MC) penalties, their scaled variants, the soft
 and firm threshold functions, the scalar convexity condition, and the
-closed-form minimizer of the scalar MC-regularized least-squares cost.
+closed-form minimizer of the MC-regularized least-squares cost, scalar
+(``scalar_minimize``) and separable (``diagonal_solve``).  Both minimizers
+and ``firm`` share one threshold function.
 
-All functions are pure and vectorize over numpy arrays; scalars in give
-scalars out.
+All functions are pure and vectorize over numpy arrays; the penalties and
+thresholds give scalars for scalars.
 """
 
 from __future__ import annotations
@@ -140,12 +142,22 @@ def firm(y, params: FirmParams):
     y_arr = np.asarray(y)
     if np.iscomplexobj(y_arr):
         raise TypeError("firm threshold is defined for real inputs")
-    lam = np.asarray(params.lam, dtype=np.float64)
-    mu = np.asarray(params.mu, dtype=np.float64)
-    a = np.abs(y_arr)
-    mid = mu * (a - lam) / (mu - lam) * np.sign(y_arr)
-    out = np.where(a <= lam, 0.0, np.where(a >= mu, y_arr, mid))
+    out = _firm(y_arr, np.asarray(params.lam, dtype=np.float64),
+                np.asarray(params.mu, dtype=np.float64))
     return _maybe_scalar(out, y)
+
+
+def _firm(y, lam, mu):
+    """``firm`` without its checks, and with both of its limits.
+
+    Soft thresholding where ``mu`` is infinite, hard thresholding where
+    ``mu <= lam``, the firm formula in between.  The discarded side of each
+    ``np.where`` divides by zero or takes inf/inf, hence the ``errstate``.
+    """
+    a = np.abs(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = np.where(mu == np.inf, a - lam, mu * (a - lam) / (mu - lam)) * np.sign(y)
+    return np.where(a <= lam, 0.0, np.where(a >= mu, y, mid))
 
 
 def scalar_convexity_holds(params: ScalarPenaltyParams) -> bool:
@@ -170,13 +182,33 @@ def scalar_minimize(y: float, params: ScalarPenaltyParams) -> float:
             "the firm-threshold formula would not give the minimizer"
         )
     a2 = params.a * params.a
-    lam_t = params.lam / a2
-    t = y / params.a
     b2 = params.b * params.b
-    mu_t = 1.0 / b2 if b2 else np.inf
-    if mu_t == np.inf:  # b = 0, or a b so small that 1/b**2 overflows: the b -> 0 limit
-        return float(soft(t, lam_t))
-    if mu_t > lam_t:
-        return float(firm(t, FirmParams(lam=lam_t, mu=mu_t)))
-    # boundary case mu == lam: hard threshold
-    return 0.0 if abs(t) <= lam_t else float(t)
+    mu = 1.0 / b2 if b2 else np.inf  # inf also where 1/b**2 overflows
+    return float(_firm(y / params.a, params.lam / a2, mu))
+
+
+def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
+    """Closed-form minimizer when A^T A = diag(alphas**2) with alphas > 0.
+
+    Element-wise firm thresholding
+    ``firm(aty_n/alpha_n^2; lam/alpha_n^2, lam/(gamma*alpha_n^2))`` for
+    ``0 < gamma < 1``; soft thresholding at ``gamma = 0``, and where the
+    upper threshold overflows (its mu -> inf limit); the hard-threshold
+    limit at ``gamma = 1`` (where the firm thresholds coincide).  Both
+    arrays must be real and finite (``ValueError`` otherwise).
+    """
+    if np.iscomplexobj(alphas) or np.iscomplexobj(aty):
+        raise ValueError("alphas and aty must be real")
+    alphas = _finite(np.asarray(alphas, dtype=np.float64), "alphas")
+    aty = _finite(np.asarray(aty, dtype=np.float64), "aty")
+    if alphas.shape != aty.shape:
+        raise ValueError("alphas and aty must have the same shape")
+    if not np.all(alphas > 0):
+        raise ValueError("alphas must be positive")
+    _positive(lam, "lam")
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError("gamma must lie in [0, 1]")
+    a2 = alphas * alphas
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = lam / (gamma * a2)  # inf at gamma = 0, or when a tiny gamma overflows it
+    return _firm(aty / a2, lam / a2, mu)

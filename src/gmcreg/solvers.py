@@ -32,23 +32,18 @@ and sigma is 0.95 of it there.  mu is 1.9/g at every gamma, so the l1
 stage is exactly ISTA.  v's gradient step ``sigma*gamma*g`` is 1.9 as
 gamma -> 0 and about 0.4 from gamma = 0.3 up.
 
-On the reference sweep (``ExperimentSpec``, gamma 0.8) the GMC stage takes
-10 997 column-iterations.  Across gamma, the same 260 cells take 3 576 at
-0.1, 4 216 at 0.2, 4 908 at 0.3, 6 096 at 0.5, 8 537 at 0.7, 15 139 at 0.9
-and 17 594 at 0.95, all converged.  At ``gamma = 0`` v stays zero and
-T is the iterative shrinkage / thresholding (ISTA) step of the
-l1-regularized problem, so the kernel carries x alone and applies A and
-its adjoint once each per step.  For complex operators the adjoint is the
-conjugate transpose and soft thresholding shrinks moduli.
+At ``gamma = 0`` v stays zero and T is the iterative shrinkage /
+thresholding (ISTA) step of the l1-regularized problem, so the kernel
+carries x alone and applies A and its adjoint once each per step.  For
+complex operators the adjoint is the conjugate transpose and soft
+thresholding shrinks moduli.
 
 A solve at ``gamma > 0`` runs in two stages on one block: the l1 solve
 (``gamma = 0``) from 0, then the GMC solve from x = v = its answer, each
 under the same ``tol`` and ``max_iter``.  This is continuation in gamma,
 much as Hale, Yin & Zhang (SIAM J. Optim. 2008) continue in lam.  A
 report's ``iterations``, ``converged`` and ``delta``, and the callback,
-cover the GMC stage.  On the clean STFT chirp at lam 1e-4, gamma 0.7 and
-tol 1e-6, the GMC stage converges in 183 iterations after the l1 solve's
-8 034; started from the l1 answer stopped at tol 1e-5 it takes 19 500.
+cover the GMC stage.
 
 At every ``gamma`` the kernel runs safeguarded type-II Anderson
 acceleration of T, which applies to any nonexpansive fixed-point map
@@ -66,11 +61,7 @@ and clears its history.  The first step is the plain step from the
 stage's start.  A solve returns T(z) of its last point, with ``delta =
 ||T(z) - z||_inf`` its change.  At ``gamma > 0`` the 2-norms and the
 inner products weigh each float of v mu/sigma times one of x, as the
-diagonal of P does; P's own norm would need another product with A.  On
-the reference DFT-frame sweep the GMC
-stage takes 0.12 times the iterations of plain primal-dual
-forward-backward from the same start, plus 5 % extra applications of T,
-and the l1 solve 0.19 times those of plain ISTA, plus 8 %.
+diagonal of P does; P's own norm would need another product with A.
 
 A real signal runs on the operator's real form (``_real_form()``), which
 is the operator itself except on the DFT frame.  There, from x = v = 0,
@@ -113,11 +104,9 @@ import numpy as np
 
 from .exceptions import _finite, _integer, _positive
 from .operators import COMPLEX, LinearOperator
-from .scalar import FirmParams, _shrink, firm, soft
+from .scalar import _shrink
 
-# Anderson memory: steps each column extrapolates from.  On the reference sweep
-# 10 steps take 0.58 times the GMC column-iterations of 5, each about 1.3 times
-# as costly
+# Anderson memory: steps each column extrapolates from
 _MEMORY = 10
 
 # ridge of the Anderson normal equations, relative to their trace
@@ -181,9 +170,7 @@ def gmc_solve(
     stage), then the primal-dual forward-backward saddle-point iteration,
     whose v-update reads the extrapolated ``2x' - x``, from x = v = that
     answer (the GMC stage) until the larger of the two block changes drops
-    below ``cfg.tol``; at ``gamma = 0`` it is ``ista_solve``.  On the clean
-    STFT chirp at lam 1e-4 and gamma 0.7 the GMC stage takes 183 iterations
-    after the l1 stage's 8 034 (see the module docstring).
+    below ``cfg.tol``; at ``gamma = 0`` it is ``ista_solve``.
     Hitting ``max_iter`` is reported via ``converged=False``, not an
     exception; a NaN or infinite entry in ``y`` raises ``ValueError``, and
     an iterate that turns NaN raises ``FloatingPointError``.  The report's
@@ -414,10 +401,8 @@ class _Anderson:
         m = min(_MEMORY, width)  # more changes than a row has floats are linearly dependent
         # the weight of each float of a row: entries are (blocks, n), each of
         # itemsize // 8 floats, and block b's entries count scales[b] times
-        self.w = None
-        if weights is not None or any(s != 1.0 for s in scales):
-            entry = np.ones(n) if weights is None else weights
-            self.w = np.repeat(np.concatenate([entry * s for s in scales]), g.itemsize // 8)
+        entry = np.ones(n) if weights is None else weights
+        self.w = np.repeat(np.concatenate([entry * s for s in scales]), g.itemsize // 8)
         self.df = np.zeros((k, m, width))
         self.dg = np.zeros((k, m, width))
         self.gram = np.zeros((k, m, m))
@@ -430,8 +415,7 @@ class _Anderson:
 
     def _norms(self, f):
         """Squared 2-norms and sup-norms of the residual rows ``f``."""
-        f2 = f * f if self.w is None else f * f * self.w
-        return (np.add.reduce(f2, axis=1),
+        return (np.add.reduce(f * f * self.w, axis=1),
                 np.maximum.reduce(np.abs(f.view(self.z.dtype)), axis=1, initial=0.0))
 
     def _extrapolate(self, g, rows):
@@ -480,7 +464,7 @@ class _Anderson:
             self.valid[:, s] = True
             df = np.subtract(f, self.df[:, s], out=self.df[:, s])
             np.subtract(g_nextc, gc, out=self.dg[:, s].view(z.dtype).reshape(z.shape))
-            row = np.einsum("kmw,kw->km", self.df, df if self.w is None else df * self.w)
+            row = np.einsum("kmw,kw->km", self.df, df * self.w)
             row = np.where(self.valid, row, 0.0)
             self.gram[:, s, :] = self.gram[:, :, s] = row
             self.rhs += row  # dF^T f moves by dF^T df
@@ -498,41 +482,6 @@ class _Anderson:
             a = getattr(self, name)
             a[first:n] = a[first:][keep[first:]]
             setattr(self, name, a[:n])
-
-
-def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
-    """Closed-form minimizer when A^T A = diag(alphas**2) with alphas > 0.
-
-    Element-wise firm thresholding
-    ``firm(aty_n/alpha_n^2; lam/alpha_n^2, lam/(gamma*alpha_n^2))`` for
-    ``0 < gamma < 1``; soft thresholding at ``gamma = 0``, and where the
-    upper threshold overflows (its mu -> inf limit); the hard-threshold
-    limit at ``gamma = 1`` (where the firm thresholds coincide).  Both
-    arrays must be real and finite (``ValueError`` otherwise).
-    """
-    if np.iscomplexobj(alphas) or np.iscomplexobj(aty):
-        raise ValueError("alphas and aty must be real")
-    alphas = _finite(np.asarray(alphas, dtype=np.float64), "alphas")
-    aty = _finite(np.asarray(aty, dtype=np.float64), "aty")
-    if alphas.shape != aty.shape:
-        raise ValueError("alphas and aty must have the same shape")
-    if not np.all(alphas > 0):
-        raise ValueError("alphas must be positive")
-    _positive(lam, "lam")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError("gamma must lie in [0, 1]")
-    a2 = alphas * alphas
-    t = aty / a2
-    thr = lam / a2
-    if gamma == 1.0:
-        return np.where(np.abs(t) <= thr, 0.0, t)
-    out = np.asarray(soft(t, thr))
-    with np.errstate(over="ignore", divide="ignore"):
-        mu = lam / (gamma * a2)  # inf at gamma = 0, or when a tiny gamma overflows it
-    firm_part = np.isfinite(mu)
-    if firm_part.any():
-        out[firm_part] = firm(t[firm_part], FirmParams(lam=thr[firm_part], mu=mu[firm_part]))
-    return out
 
 
 def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:

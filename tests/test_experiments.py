@@ -217,6 +217,12 @@ class TestNonzeroCount:
     def test_relative_threshold(self):
         assert nonzero_count(np.array([1.0, 1e-5, 0.5])) == 2
 
+    @pytest.mark.parametrize("coef", [[np.nan, 1.0, 2.0], [np.inf, 1.0]], ids=["nan", "inf"])
+    def test_non_finite_refused(self, coef):
+        # not an empty support: the peak is NaN or inf, and no entry exceeds it
+        with pytest.raises(ValueError, match="coef must be finite"):
+            nonzero_count(np.array(coef))
+
 
 class TestSweep:
     def test_shapes_and_order(self, quick_sweep):
@@ -308,26 +314,36 @@ class TestCsvFormat:
         assert lines[1] == "l1,0.5,0,0.123456789,7"
 
 
-class TestStftDemo:
-    def test_clean_chirp_small_lambda(self):
-        spec = StftDemoSpec()
-        clean = make_chirp(spec)
-        frame = StftFrameOperator(spec.signal_len, spec.segment_len)
-        for method in ("l1", "gmc"):
-            res = denoise_frame(clean, frame, method, 1e-4, 0.7)
-            assert res.converged
-            assert rmse(res.recon, clean) <= 1e-3
+@pytest.fixture(scope="module")
+def clean_chirp_gmc():
+    """The clean chirp, its STFT frame and the report of its GMC solve.
 
-    def test_clean_chirp_gmc_stage_margin(self):
-        # the GMC solve of test_clean_chirp_small_lambda, at denoise_frame's
-        # tolerance and budget: from 0 it took 39 852 of its 40 000
-        # iterations; started from its l1 answer it takes a few hundred
-        spec = StftDemoSpec()
-        frame = StftFrameOperator(spec.signal_len, spec.segment_len)
-        defaults = inspect.signature(denoise_frame).parameters
-        cfg = SolveConfig(1e-4, 0.7, tol=defaults["tol"].default,
-                          max_iter=defaults["max_iter"].default)
-        rep = gmc_solve(frame, make_chirp(spec).samples, cfg)
+    The solve is ``denoise_frame(clean, frame, "gmc", 1e-4, 0.7)``'s: lam
+    1e-4, gamma 0.7, at ``denoise_frame``'s tolerance and budget.
+    """
+    spec = StftDemoSpec()
+    clean = make_chirp(spec)
+    frame = StftFrameOperator(spec.signal_len, spec.segment_len)
+    defaults = inspect.signature(denoise_frame).parameters
+    cfg = SolveConfig(1e-4, 0.7, tol=defaults["tol"].default,
+                      max_iter=defaults["max_iter"].default)
+    return clean, frame, gmc_solve(frame, clean.samples, cfg)
+
+
+class TestStftDemo:
+    def test_clean_chirp_small_lambda(self, clean_chirp_gmc):
+        clean, frame, rep = clean_chirp_gmc
+        res = denoise_frame(clean, frame, "l1", 1e-4, 0.7)
+        assert res.converged
+        assert rmse(res.recon, clean) <= 1e-3
+        assert rep.converged
+        assert rmse(Signal(frame.forward(rep.x_star).real), clean) <= 1e-3
+
+    def test_clean_chirp_gmc_stage_margin(self, clean_chirp_gmc):
+        # the GMC solve of test_clean_chirp_small_lambda: from 0 it took
+        # 39 852 of its 40 000 iterations; started from its l1 answer it
+        # takes a few hundred
+        _, _, rep = clean_chirp_gmc
         assert rep.converged
         assert rep.iterations <= 1_000
 
@@ -362,3 +378,10 @@ class TestClusters:
     def test_empty(self):
         frame = DftFrameOperator(10, 16)
         assert coefficient_clusters(np.zeros(16, complex), frame) == []
+
+    def test_non_finite_refused(self):
+        coef = np.zeros(16, complex)
+        coef[3] = 1.0
+        coef[5] = np.nan
+        with pytest.raises(ValueError, match="coef must be finite"):
+            coefficient_clusters(coef, DftFrameOperator(10, 16))

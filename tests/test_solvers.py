@@ -23,6 +23,7 @@ from gmcreg import (
     ScalarPenaltyParams,
     StftFrameOperator,
     eval_generalized_huber,
+    soft,
     solve_many,
 )
 
@@ -711,8 +712,12 @@ class TestIsta:
 
 class TestDiagonalSolve:
     def test_gamma_zero_is_soft(self):
-        out = diagonal_solve(np.ones(3), np.array([0.5, 1.5, -5.0]), 1.0, 0.0)
-        assert np.allclose(out, [0.0, 0.5, -4.0])
+        alphas = np.array([1.0, 1.0, 1.0, 1.7, 1.7])
+        aty = np.array([0.5, 1.5, -5.0, 0.9, -3.1])
+        out = diagonal_solve(alphas, aty, 1.0, 0.0)
+        assert np.allclose(out[:3], [0.0, 0.5, -4.0])
+        a2 = alphas * alphas
+        assert np.array_equal(out, soft(aty / a2, 1.0 / a2))
 
     def test_firm_example(self):
         out = diagonal_solve(np.ones(3), np.array([0.5, 1.5, 5.0]), 1.0, 0.5)
@@ -731,8 +736,14 @@ class TestDiagonalSolve:
             assert out[0] == pytest.approx(ref, abs=1e-12)
 
     def test_gamma_one_hard_threshold(self):
-        out = diagonal_solve(np.ones(3), np.array([0.5, 1.5, -2.0]), 1.0, 1.0)
-        assert np.allclose(out, [0.0, 1.5, -2.0])
+        # at alpha 1.7 the thresholds lam/alpha^2 and lam/(gamma*alpha^2)
+        # must come out equal for the firm threshold to turn hard
+        alphas = np.array([1.0, 1.0, 1.0, 1.7, 1.7])
+        aty = np.array([0.5, 1.5, -2.0, 0.9, -3.1])
+        out = diagonal_solve(alphas, aty, 1.0, 1.0)
+        assert np.array_equal(out[:3], [0.0, 1.5, -2.0])
+        t = aty / (alphas * alphas)
+        assert np.array_equal(out, np.where(np.abs(t) <= 1.0 / (alphas * alphas), 0.0, t))
 
     def test_against_per_coordinate_grid_oracle(self):
         rng = np.random.default_rng(12)
