@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, _finite, _integer, _positive
 from .operators import COMPLEX, LinearOperator, ScaledOperator
-from .solvers import SolveConfig, _solve_block
+from .solvers import _solve_block
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,11 @@ def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
     if pen.b_op.gram_norm() == 0.0:
         # B = 0: the minimum is 0 at v = 0
         return np.zeros_like(xs), np.zeros(xs.shape[1]), 0, 0.0
-    cfg = SolveConfig(1.0, tol=pen.inner_tol, max_iter=pen.inner_max_iter)
     bx, ones = pen.b_op.forward_multi(xs), np.ones(xs.shape[1])
-    (v,), iters, resids = _solve_block(pen.b_op, bx, ones, cfg)
+    (v,), iters, resids, converged = _solve_block(pen.b_op, bx, ones, 0.0, pen.inner_tol,
+                                                  pen.inner_max_iter)
     values, resid = _inner_values(pen, xs, v), float(resids.max())
-    if resid <= pen.inner_tol:
+    if converged.all():
         return v, values, int(iters.max()), resid
     raise ConvergenceError(
         f"inner shrinkage iteration did not reach tol={pen.inner_tol} "

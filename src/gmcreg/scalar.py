@@ -151,12 +151,17 @@ def _firm(y, lam, mu):
     """``firm`` without its checks, and with both of its limits.
 
     Soft thresholding where ``mu`` is infinite, hard thresholding where
-    ``mu <= lam``, the firm formula in between.  The discarded side of each
-    ``np.where`` divides by zero or takes inf/inf, hence the ``errstate``.
+    ``mu <= lam``, and between them ``d + d*lam/(mu - lam)``, ``d = |y| -
+    lam``, which does not overflow there, keeps ``mu - lam`` exact near the
+    hard limit and is soft thresholding bit for bit at ``mu = inf``.  The
+    discarded sides divide by zero or take inf/inf, and a vast ``mu``
+    underflows ``lam/(mu - lam)`` harmlessly.
     """
     a = np.abs(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mid = np.where(mu == np.inf, a - lam, mu * (a - lam) / (mu - lam)) * np.sign(y)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        d = a - lam
+        # np.divide, not /: scalar_minimize passes floats, and mu may equal lam
+        mid = (d + d * np.divide(lam, mu - lam)) * np.sign(y)
     return np.where(a <= lam, 0.0, np.where(a >= mu, y, mid))
 
 
@@ -209,6 +214,6 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
     a2 = alphas * alphas
-    with np.errstate(over="ignore", divide="ignore"):
-        mu = lam / (gamma * a2)  # inf at gamma = 0, or when a tiny gamma overflows it
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        mu = lam / (gamma * a2)  # inf at gamma = 0, or when a tiny gamma under- or overflows it
     return _firm(aty / a2, lam / a2, mu)

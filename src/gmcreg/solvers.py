@@ -215,27 +215,6 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     tolerance or budget.  On every operator its iterates and iteration
     count equal the solo solve's bit for bit (see the module docstring).
     """
-    return _l1_and_gmc(a_op, ys, cfgs)[1]
-
-
-def _solve_one(a_op, y, cfg, callback) -> SolveReport:
-    y = np.asarray(y)
-    if y.shape != (a_op.codomain_dim,):
-        raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    (report,) = _l1_and_gmc(a_op, y[:, None], [cfg], callback)[1]
-    return report
-
-
-def _l1_and_gmc(a_op, ys, cfgs, callback=None):
-    """``solve_many``'s reports at ``gamma = 0`` and at the cfgs' ``gamma``.
-
-    Checks the block as ``solve_many`` documents and runs, on ``a_op``'s
-    ``_real_form()`` for real data and on ``a_op`` else, the l1 block and,
-    at ``gamma > 0``, the GMC block started from its x in that form's
-    coordinates, both under the shared ``tol`` and ``max_iter``.
-    ``callback`` sees the last stage only.  At ``gamma = 0`` both entries
-    are the l1 reports.
-    """
     ys = np.asarray(ys)
     cfgs = tuple(cfgs)
     if ys.shape != (a_op.codomain_dim, len(cfgs)):
@@ -247,17 +226,38 @@ def _l1_and_gmc(a_op, ys, cfgs, callback=None):
         raise ValueError("solve_many needs at least one column")
     if len({(c.gamma, c.tol, c.max_iter) for c in cfgs}) != 1:
         raise ValueError("cfgs must agree on gamma, tol and max_iter")
-    cfg, lams = cfgs[0], [c.lam for c in cfgs]
+    cfg = cfgs[0]
+    return _l1_and_gmc(a_op, ys, [c.lam for c in cfgs], cfg.gamma, cfg.tol, cfg.max_iter)[1]
+
+
+def _solve_one(a_op, y, cfg, callback) -> SolveReport:
+    y = np.asarray(y)
+    if y.shape != (a_op.codomain_dim,):
+        raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
+    (report,) = _l1_and_gmc(a_op, y[:, None], [cfg.lam], cfg.gamma, cfg.tol, cfg.max_iter,
+                            callback)[1]
+    return report
+
+
+def _l1_and_gmc(a_op, ys, lams, gamma, tol, max_iter, callback=None):
+    """The reports of the (M, k) block ``ys`` at ``gamma = 0`` and at ``gamma``.
+
+    Column j weighs its l1 term by ``lams[j]``.  Runs, on ``a_op``'s
+    ``_real_form()`` for real data and on ``a_op`` else, the l1 block and,
+    at ``gamma > 0``, the GMC block started from its x in that form's
+    coordinates, both under ``tol`` and ``max_iter``.  ``callback`` sees
+    the last stage only.  At ``gamma = 0`` both entries are the l1 reports.
+    """
     op = a_op if np.iscomplexobj(ys) else a_op._real_form()
-    if cfg.gamma == 0.0:
-        l1 = _reports(op, cfg.tol, *_solve_block(op, ys, lams, cfg, callback))
+    if gamma == 0.0:
+        l1 = _reports(op, *_solve_block(op, ys, lams, 0.0, tol, max_iter, callback))
         return l1, l1
-    l1 = _solve_block(op, ys, lams, replace(cfg, gamma=0.0))
-    gmc = _solve_block(op, ys, lams, cfg, callback, start=l1[0][0])
-    return _reports(op, cfg.tol, *l1), _reports(op, cfg.tol, *gmc)
+    l1 = _solve_block(op, ys, lams, 0.0, tol, max_iter)
+    gmc = _solve_block(op, ys, lams, gamma, tol, max_iter, callback, start=l1[0][0])
+    return _reports(op, *l1), _reports(op, *gmc)
 
 
-def _reports(op, tol, g, iterations, delta) -> tuple[SolveReport, ...]:
+def _reports(op, g, iterations, delta, converged) -> tuple[SolveReport, ...]:
     """One ``SolveReport`` per column of a ``_solve_block`` block ``g``, expanded by ``op``."""
     x = op.expand(g[0])
     v = op.expand(g[1]) if len(g) == 2 else np.zeros_like(x)
@@ -266,36 +266,36 @@ def _reports(op, tol, g, iterations, delta) -> tuple[SolveReport, ...]:
             x_star=x[:, j].copy(),
             v_star=v[:, j].copy(),
             iterations=int(iterations[j]),
-            converged=bool(delta[j] <= tol),
+            converged=bool(converged[j]),
             delta=float(delta[j]),
         )
         for j in range(x.shape[1])
     )
 
 
-def _solve_block(op, ys, lams, cfg, callback=None, start=None):
+def _solve_block(op, ys, lams, gamma, tol, max_iter, callback=None, start=None):
     """Iterate the (N, k) block of problems ``ys[:, j]`` with weights ``lams[j]``.
 
     ``op`` is an operator or its ``_real_form()``, whose ``weights`` weigh
-    the Anderson inner products.  ``cfg`` gives the shared ``gamma``,
-    ``tol`` and ``max_iter``; its ``lam`` is not read.  The steps are
-    ``_steps`` of ``op.gram_norm()`` (see the module docstring).  The block
-    g holds T of each column's current point: the pair (x, v), shape (2, N,
-    k), at ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.  The
-    first point is x = v = ``start``, an (N, k) block, or 0 without one.
-    Each iteration is one accepted step per column, ``_Anderson``'s
-    safeguarded step (see the module docstring).  A column whose change
-    drops to ``tol``, or whose budget runs out, is written out and leaves
-    the block in the same iteration.  ``callback`` receives column 0's
-    ``SolveReport`` each iteration; only single solves pass one.  Returns
-    each column's final g in ``op``'s coordinates, and per column the
-    iteration count and last change; a NaN change raises
+    the Anderson inner products.  All columns share ``gamma``, ``tol`` and
+    ``max_iter``, which the caller has checked.  The steps are ``_steps``
+    of ``op.gram_norm()`` (see the module docstring).  The block g holds T
+    of each column's current point: the pair (x, v), shape (2, N, k), at
+    ``gamma > 0`` and x alone, (1, N, k), at ``gamma = 0``.  The first
+    point is x = v = ``start``, an (N, k) block, or 0 without one.  Each
+    iteration is one accepted step per column, ``_Anderson``'s safeguarded
+    step (see the module docstring).  A column has converged when its
+    change drops to ``tol``; this is the one place that verdict is drawn.
+    A converged column, or one whose budget runs out, is written out and
+    leaves the block in the same iteration.  ``callback`` receives column
+    0's ``SolveReport`` each iteration; only single solves pass one.
+    Returns each column's final g in ``op``'s coordinates, and per column
+    the iteration count, last change and verdict; a NaN change raises
     ``FloatingPointError``.
     """
     gram = op.gram_norm()
     _positive(gram, "operator Gram norm")
     _finite(ys, "y")
-    gamma = cfg.gamma
     steps = np.array(_steps(gram, gamma))
     k = ys.shape[1]
     dtype = np.complex128 if (op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
@@ -305,6 +305,7 @@ def _solve_block(op, ys, lams, cfg, callback=None, start=None):
     out = np.zeros_like(g)  # each column's final g, written when it retires
     iterations = np.zeros(k, dtype=np.int64)
     deltas = np.zeros(k)
+    converged = np.zeros(k, dtype=bool)
     thr = steps[:, None, None] * np.array(lams, dtype=np.float64)  # (blocks, 1, k)
     live = np.arange(k)  # original index of each block column
     # the Anderson norms weigh each block by the inverse of its step, as
@@ -316,24 +317,25 @@ def _solve_block(op, ys, lams, cfg, callback=None, start=None):
 
     # _shrink divides by |w| in the branch np.where discards
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, cfg.max_iter + 1):
+        for i in range(1, max_iter + 1):
             g, delta = anderson.step(g, apply)
             if np.isnan(delta).any():
                 raise FloatingPointError(f"an iterate turned NaN at iteration {i}")
+            met = delta <= tol
             if callback is not None:
-                callback(*_reports(op, cfg.tol, g[..., :1], [i], delta))
-            done = (delta <= cfg.tol) | (i == cfg.max_iter)
+                callback(*_reports(op, g[..., :1], [i], delta, met))
+            done = met | (i == max_iter)
             if not done.any():
                 continue
             cols = live[done]
             out[..., cols] = g[..., done]
-            iterations[cols], deltas[cols] = i, delta[done]
+            iterations[cols], deltas[cols], converged[cols] = i, delta[done], met[done]
             if done.all():
                 break
             keep = ~done
             g, ys, thr, live = (a[..., keep] for a in (g, ys, thr, live))
             anderson.compact(keep)
-    return out, iterations, deltas
+    return out, iterations, deltas, converged
 
 
 def _steps(gram, gamma):

@@ -245,16 +245,30 @@ class TestSweep:
             assert agg.rmse_mean == pytest.approx(np.mean(vals), abs=1e-15)
             assert agg.rmse_std == pytest.approx(np.std(vals), abs=1e-15)
 
-    def test_records_match_denoise_frame(self, quick_sweep):
+    @staticmethod
+    def _assert_records_match_denoise_frame(spec, records):
         # run_sweep solves its cells as blocks; each record is still the
         # per-cell denoise_frame result
-        frame = DftFrameOperator(QUICK_SPEC.signal_len, QUICK_SPEC.coef_len)
-        clean = make_two_sine(QUICK_SPEC)
-        for rec in quick_sweep.records:
-            noisy = add_awgn(clean, QUICK_SPEC.noise_sigma, (QUICK_SPEC.seed, rec.realization))
-            d = denoise_frame(noisy, frame, rec.method, rec.lam, QUICK_SPEC.gamma)
+        frame = DftFrameOperator(spec.signal_len, spec.coef_len)
+        clean = make_two_sine(spec)
+        for rec in records:
+            noisy = add_awgn(clean, spec.noise_sigma, (spec.seed, rec.realization))
+            d = denoise_frame(noisy, frame, rec.method, rec.lam, spec.gamma)
             assert rec.rmse == float(f"{rmse(d.recon, clean):.9g}")
             assert rec.nnz == nonzero_count(d.coef)
+
+    def test_records_match_denoise_frame(self, quick_sweep):
+        self._assert_records_match_denoise_frame(QUICK_SPEC, quick_sweep.records)
+
+    def test_records_in_a_later_block_match_denoise_frame(self):
+        # 130 cells run as blocks of 128 and 2: realization 9 at lambda
+        # indices 11 and 12 fills the second block, realization 0 at index 0
+        # opens the first
+        spec = ExperimentSpec(realizations=10)
+        cells = {(9, spec.lambda_grid[11]), (9, spec.lambda_grid[12]), (0, spec.lambda_grid[0])}
+        records = [r for r in run_sweep(spec).records if (r.realization, r.lam) in cells]
+        assert len(records) == 9
+        self._assert_records_match_denoise_frame(spec, records)
 
     def test_deterministic(self, quick_sweep, tmp_path):
         again = run_sweep(QUICK_SPEC)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gmcreg import (
     FirmParams,
     ScalarPenaltyParams,
+    diagonal_solve,
     firm,
     huber,
     scalar_convexity_holds,
@@ -220,6 +223,21 @@ class TestFirm:
     def test_rejects_complex(self):
         with pytest.raises(TypeError):
             firm(1 + 1j, FirmParams(lam=1.0, mu=2.0))
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [
+            lambda: firm(1e10, FirmParams(1.0, 1e300)),
+            lambda: scalar_minimize(1e10, ScalarPenaltyParams(b=1e-150, lam=1.0, a=1.0)),
+            lambda: diagonal_solve(np.ones(1), np.array([1e10]), 1.0, 1e-300)[0],
+        ],
+        ids=["firm", "scalar_minimize", "diagonal_solve"],
+    )
+    def test_large_finite_mu_does_not_overflow(self, threshold):
+        # a finite mu of 1e300 and a finite answer: no step may overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert threshold() == 1e10 - 1
 
 
 class TestConvexityCondition:

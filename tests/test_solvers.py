@@ -760,10 +760,13 @@ class TestDiagonalSolve:
                 assert out[i] == pytest.approx(ref, abs=1e-3)
 
     def test_overflowing_upper_threshold_is_soft(self):
-        # lam/(gamma*alpha^2) overflows to inf: the mu -> inf limit, soft thresholding
+        # lam/(gamma*alpha^2) overflows to inf, or gamma*alpha^2 underflows to 0:
+        # the mu -> inf limit, soft thresholding
         with np.errstate(all="raise"):
             out = diagonal_solve(np.ones(2), np.array([0.5, 2.0]), 1.0, 5e-324)
+            under = diagonal_solve(np.full(2, 0.5), np.ones(2), 1.0, 5e-324)
         assert np.array_equal(out, [0.0, 1.0])
+        assert np.array_equal(under, soft(np.full(2, 4.0), 4.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
