@@ -252,7 +252,7 @@ def cmd_threshold(args) -> int:
         raise ValueError(f"--mu must be greater than --lambda, got {args.mu!r} <= {args.lam!r}")
     params = FirmParams(lam=args.lam, mu=args.mu)
     _integer(args.points, "--points", least=2)
-    _positive(args.y_max, "--y-max")
+    _positive(2.0 * args.y_max, "twice --y-max (the curve's span)")
     if args.points > _MAX_ROWS:
         raise ValueError(f"--points: the curve would write more than {_MAX_ROWS} rows")
     y = np.linspace(-args.y_max, args.y_max, args.points)

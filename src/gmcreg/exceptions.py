@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and its three input rules.
+"""Exception types shared across the package, and its four input rules.
 
 Every layer checks its input with ``_integer`` (sizes, budgets and seeds;
 ``bool`` and floats, even integral ones, are refused), ``_positive``
-(weights and tolerances must be positive and finite) or ``_finite`` (arrays
-hold no NaN or infinity); each raises ``ValueError`` naming the argument.
+(weights and tolerances must be positive and finite), ``_finite`` (arrays
+hold no NaN or infinity) or ``_shape`` (``ndim`` and each length; a ``None``
+length matches any, zero included); each raises ``ValueError`` naming it.
 """
 
 import numpy as np
@@ -49,4 +50,12 @@ def _finite(a, name: str) -> np.ndarray:
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite (it holds a NaN or an infinity)")
+    return a
+
+
+def _shape(a, shape, name: str) -> np.ndarray:
+    """``a`` as an array of ``shape``, whose ``None`` entries match any length."""
+    a = np.asarray(a)
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'k')}, got {a.shape}")
     return a

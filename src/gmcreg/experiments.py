@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import _finite, _integer
+from .exceptions import _finite, _integer, _shape
 from .operators import DftFrameOperator, LinearOperator, StftFrameOperator
 from .solvers import SolveConfig, _l1_and_gmc, debias_on_support, gmc_solve
 
@@ -58,10 +58,7 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.atleast_1d(np.asarray(self.samples))
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        _finite(samples, "samples")
+        samples = _finite(_shape(np.atleast_1d(self.samples), (None,), "samples"), "samples")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self):
@@ -92,12 +89,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _integer(self.coef_len, "coef_len", least=_integer(self.signal_len, "signal_len"))
-        if len(self.frequencies) != 2 or len(self.amplitudes) != 2:
-            raise ValueError("need exactly two frequencies and two amplitudes")
-        for f in self.frequencies:
+        for f in _shape(self.frequencies, (2,), "frequencies"):
             if not (0.0 < f < 0.5):
                 raise ValueError("frequencies must lie in (0, 0.5)")
-        _finite(self.amplitudes, "amplitudes")
+        _finite(_shape(self.amplitudes, (2,), "amplitudes"), "amplitudes")
         _integer(self.realizations, "realizations")
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -209,9 +204,8 @@ def _samples(sig) -> np.ndarray:
 
 def rmse(a, b) -> float:
     """Root-mean-square difference; moduli are used for complex input."""
-    xa, xb = _samples(a), _samples(b)
-    if xa.shape != xb.shape:
-        raise ValueError(f"length mismatch: {xa.shape} vs {xb.shape}")
+    xa = _samples(a)
+    xb = _shape(_samples(b), xa.shape, "b")
     return float(np.sqrt(np.mean(np.abs(xa - xb) ** 2)))
 
 

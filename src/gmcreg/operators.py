@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConvergenceError, _finite, _integer, _positive
+from .exceptions import ConvergenceError, _finite, _integer, _positive, _shape
 
 REAL = "real"
 COMPLEX = "complex"
@@ -32,13 +32,14 @@ class LinearOperator:
     (M, k) column blocks, checking the block shape with ``_columns``; column
     j of the result depends on column j of the input only.  ``forward`` and
     ``adjoint`` check a 1-D vector and apply the block method to it as one
-    column.  ``field`` is ``"real"`` or ``"complex"``; for complex operators
-    the adjoint is the conjugate transpose.  ``gram_norm`` is ``||A^H A||_2``,
-    which sets every solver's step: each subclass declares it (this module's
-    classes exactly), so no step comes from the power-iteration estimate
-    ``estimate_gram_norm``, which only checks declared values.
-    ``_real_form()`` is what real-data solves run on: by default the
-    operator itself, with no Anderson ``weights`` and identity ``expand``.
+    column.  ``field`` is ``"real"`` or ``"complex"``, ``dtype`` float64 or
+    complex128 to match; complex operators' adjoints are conjugate
+    transposes.  ``gram_norm`` is ``||A^H A||_2``, which sets every solver's
+    step: each subclass declares it (this module's classes exactly), so no
+    step comes from the power-iteration estimate ``estimate_gram_norm``,
+    which only checks declared values.  ``_real_form()`` is what real-data
+    solves run on: by default the operator itself, with no Anderson
+    ``weights`` and identity ``expand``.
     """
 
     weights = None
@@ -56,21 +57,11 @@ class LinearOperator:
 
     def forward(self, x) -> np.ndarray:
         """Apply the operator to a domain vector (A x)."""
-        x = np.asarray(x)
-        if x.shape != (self.domain_dim,):
-            raise ValueError(
-                f"forward expects a vector of length {self.domain_dim}, got shape {x.shape}"
-            )
-        return self.forward_multi(x[:, None])[:, 0]
+        return self.forward_multi(_shape(x, (self.domain_dim,), "x")[:, None])[:, 0]
 
     def adjoint(self, y) -> np.ndarray:
         """Apply the adjoint to a codomain vector (A^T y, or A^H y when complex)."""
-        y = np.asarray(y)
-        if y.shape != (self.codomain_dim,):
-            raise ValueError(
-                f"adjoint expects a vector of length {self.codomain_dim}, got shape {y.shape}"
-            )
-        return self.adjoint_multi(y[:, None])[:, 0]
+        return self.adjoint_multi(_shape(y, (self.codomain_dim,), "y")[:, None])[:, 0]
 
     def gram_norm(self) -> float:
         """``||A^H A||_2``, declared by each subclass."""
@@ -112,9 +103,7 @@ class DenseOperator(LinearOperator):
     """
 
     def __init__(self, entries):
-        a = np.asarray(entries)
-        if a.ndim != 2:
-            raise ValueError("entries must be a 2-D array")
+        a = _shape(entries, (None, None), "entries")
         field = COMPLEX if np.iscomplexobj(a) else REAL
         a = _finite(np.array(a, dtype=_FIELD_DTYPE[field], order="C"), "entries")
         super().__init__(domain_dim=a.shape[1], codomain_dim=a.shape[0], field=field)
@@ -201,10 +190,10 @@ class _HalfSpectrum:
     the inner product ``Re sum weights * conj(h) * h'``, which equals the
     full one on the expanded vectors: interior entries stand for two.  So
     it is no ``LinearOperator``; it is the frame's ``_real_form()``, and
-    ``expand`` gives back the full Hermitian x.
+    ``expand`` gives back the full Hermitian x.  It declares ``dtype``, complex.
     """
 
-    field = COMPLEX
+    dtype = np.complex128
 
     def __init__(self, signal_len: int, coef_len: int):
         self.codomain_dim = signal_len

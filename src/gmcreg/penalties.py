@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, _finite, _integer, _positive
-from .operators import COMPLEX, LinearOperator, ScaledOperator
-from .solvers import _solve_block
+from .exceptions import ConvergenceError, _finite, _integer, _positive, _shape
+from .operators import LinearOperator, ScaledOperator
+from .solvers import _solve_block, _working_dtype
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,15 @@ def build_b_from_a(a_op: LinearOperator, lam: float, gamma: float) -> GmcPenalty
 
 def _as_columns(pen: GmcPenalty, x) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != pen.domain_dim or x.shape[1] == 0:
-        raise ValueError(f"expected vectors of length {pen.domain_dim}, got shape {x.shape}")
-    _finite(x, "x")
-    dtype = np.complex128 if (pen.b_op.field == COMPLEX or np.iscomplexobj(x)) else np.float64
-    return x.astype(dtype)
+    x = _shape(x, (pen.domain_dim,) if x.ndim == 1 else (pen.domain_dim, None), "x")
+    x = _finite(x.reshape(pen.domain_dim, -1), "x")
+    if x.shape[1] == 0:
+        raise ValueError(f"x must hold at least one column, got shape {x.shape}")
+    return x.astype(_working_dtype(pen.b_op, x))
 
 
-def _as_vector(pen: GmcPenalty, x, name: str) -> np.ndarray:
-    xs = _as_columns(pen, x)
-    if xs.shape[1] != 1:
-        raise ValueError(f"{name} takes a single vector, got shape {np.shape(x)}")
-    return xs[:, 0]
+def _as_vector(pen: GmcPenalty, x) -> np.ndarray:
+    return _shape(_as_columns(pen, x), (pen.domain_dim, 1), "x")[:, 0]
 
 
 def _inner_solve(pen: GmcPenalty, xs: np.ndarray, single: bool = False):
@@ -153,7 +148,7 @@ def eval_generalized_huber(pen: GmcPenalty, x) -> InnerSolution:
     Raises ``ConvergenceError`` (with the best iterate attached) if the inner
     iteration budget is exhausted.
     """
-    x = _as_vector(pen, x, "eval_generalized_huber")
+    x = _as_vector(pen, x)
     v, values, iters, resid = _inner_solve(pen, x[:, None], single=True)
     return InnerSolution(
         v_star=v[:, 0], value=float(values[0]), iterations=iters, residual=resid
@@ -176,14 +171,14 @@ def grad_generalized_huber(pen: GmcPenalty, x) -> np.ndarray:
 
     Every entry has magnitude at most 1.
     """
-    x = _as_vector(pen, x, "grad_generalized_huber")
+    x = _as_vector(pen, x)
     sol = eval_generalized_huber(pen, x)
     return pen.b_op.adjoint(pen.b_op.forward(x - sol.v_star))
 
 
 def eval_gmc(pen: GmcPenalty, x) -> float:
     """GMC penalty value ``||x||_1 - gen_huber(x)``; lies in [0, ||x||_1]."""
-    x = _as_vector(pen, x, "eval_gmc")
+    x = _as_vector(pen, x)
     sol = eval_generalized_huber(pen, x)
     return float(np.sum(np.abs(x)) - sol.value)
 
@@ -202,7 +197,7 @@ def in_quadratic_region(pen: GmcPenalty, x) -> bool:
     ``0.5 * ||B x||_2^2`` and the GMC penalty equals
     ``||x||_1 - 0.5 * ||B x||_2^2``.
     """
-    g = pen.b_op.adjoint(pen.b_op.forward(_as_vector(pen, x, "in_quadratic_region")))
+    g = pen.b_op.adjoint(pen.b_op.forward(_as_vector(pen, x)))
     return bool(np.max(np.abs(g)) <= 1.0)
 
 
@@ -212,9 +207,7 @@ def cost_value(a_op: LinearOperator, y, lam: float, gamma: float, x) -> float:
     ``gamma = 0`` reduces to the l1 objective (no inner solve needed).  ``x``
     must be one vector (``ValueError`` otherwise).
     """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError(f"expected vectors of length {a_op.domain_dim}, got shape {x.shape}")
+    x = _shape(x, (a_op.domain_dim,), "x")
     return float(cost_value_many(a_op, y, lam, gamma, x[:, None])[0])
 
 
@@ -227,15 +220,11 @@ def cost_value_many(a_op: LinearOperator, y, lam: float, gamma: float, xs) -> np
     one column and ``lam`` positive and finite (``ValueError`` otherwise),
     whatever ``gamma``.
     """
-    y = np.asarray(y)
-    if y.shape != (a_op.codomain_dim,):
-        raise ValueError(f"y must have shape ({a_op.codomain_dim},), got {y.shape}")
-    _finite(y, "y")
+    y = _finite(_shape(y, (a_op.codomain_dim,), "y"), "y")
     _positive(lam, "lam")
-    xs = np.asarray(xs)
+    xs = _finite(_shape(xs, (a_op.domain_dim, None), "x"), "x")
     if xs.size == 0:
-        raise ValueError(f"expected vectors of length {a_op.domain_dim}, got shape {xs.shape}")
-    _finite(xs, "x")
+        raise ValueError(f"x must hold at least one column, got shape {xs.shape}")
     r = a_op.forward_multi(xs) - y[:, None]
     data = 0.5 * np.sum(np.abs(r) ** 2, axis=0)
     return data + lam * eval_gmc_many(build_b_from_a(a_op, lam, gamma), xs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _finite, _positive
+from .exceptions import _finite, _positive, _shape
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,12 @@ def _firm(y, lam, mu):
     ``mu <= lam``, and between them ``d + d*lam/(mu - lam)``, ``d = |y| -
     lam``, which does not overflow there, keeps ``mu - lam`` exact near the
     hard limit and is soft thresholding bit for bit at ``mu = inf``.  The
-    discarded sides divide by zero or take inf/inf, and a vast ``mu``
-    underflows ``lam/(mu - lam)`` harmlessly.
+    discarded sides divide by zero, take inf/inf, or overflow where ``|y|``
+    is far above ``mu`` (the middle piece is at most ``mu`` wherever it is
+    kept), and a vast ``mu`` underflows ``lam/(mu - lam)`` harmlessly.
     """
     a = np.abs(y)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         d = a - lam
         # np.divide, not /: scalar_minimize passes floats, and mu may equal lam
         mid = (d + d * np.divide(lam, mu - lam)) * np.sign(y)
@@ -205,9 +206,7 @@ def diagonal_solve(alphas, aty, lam: float, gamma: float) -> np.ndarray:
     if np.iscomplexobj(alphas) or np.iscomplexobj(aty):
         raise ValueError("alphas and aty must be real")
     alphas = _finite(np.asarray(alphas, dtype=np.float64), "alphas")
-    aty = _finite(np.asarray(aty, dtype=np.float64), "aty")
-    if alphas.shape != aty.shape:
-        raise ValueError("alphas and aty must have the same shape")
+    aty = _finite(_shape(np.asarray(aty, dtype=np.float64), alphas.shape, "aty"), "aty")
     if not np.all(alphas > 0):
         raise ValueError("alphas must be positive")
     _positive(lam, "lam")

@@ -102,8 +102,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import _finite, _integer, _positive
-from .operators import COMPLEX, LinearOperator
+from .exceptions import _finite, _integer, _positive, _shape
+from .operators import LinearOperator
 from .scalar import _shrink
 
 # Anderson memory: steps each column extrapolates from
@@ -215,13 +215,8 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
     tolerance or budget.  On every operator its iterates and iteration
     count equal the solo solve's bit for bit (see the module docstring).
     """
-    ys = np.asarray(ys)
     cfgs = tuple(cfgs)
-    if ys.shape != (a_op.codomain_dim, len(cfgs)):
-        raise ValueError(
-            f"ys must have shape ({a_op.codomain_dim}, {len(cfgs)}) for {len(cfgs)} cfgs, "
-            f"got {ys.shape}"
-        )
+    ys = _shape(ys, (a_op.codomain_dim, len(cfgs)), "ys")
     if not cfgs:
         raise ValueError("solve_many needs at least one column")
     if len({(c.gamma, c.tol, c.max_iter) for c in cfgs}) != 1:
@@ -231,12 +226,8 @@ def solve_many(a_op: LinearOperator, ys, cfgs: Sequence[SolveConfig]) -> tuple[S
 
 
 def _solve_one(a_op, y, cfg, callback) -> SolveReport:
-    y = np.asarray(y)
-    if y.shape != (a_op.codomain_dim,):
-        raise ValueError(f"y must have length {a_op.codomain_dim}, got shape {y.shape}")
-    (report,) = _l1_and_gmc(a_op, y[:, None], [cfg.lam], cfg.gamma, cfg.tol, cfg.max_iter,
-                            callback)[1]
-    return report
+    y = _shape(y, (a_op.codomain_dim,), "y")[:, None]
+    return _l1_and_gmc(a_op, y, [cfg.lam], cfg.gamma, cfg.tol, cfg.max_iter, callback)[1][0]
 
 
 def _l1_and_gmc(a_op, ys, lams, gamma, tol, max_iter, callback=None):
@@ -298,8 +289,7 @@ def _solve_block(op, ys, lams, gamma, tol, max_iter, callback=None, start=None):
     _finite(ys, "y")
     steps = np.array(_steps(gram, gamma))
     k = ys.shape[1]
-    dtype = np.complex128 if (op.field == COMPLEX or np.iscomplexobj(ys)) else np.float64
-    g = np.zeros((len(steps), op.domain_dim, k), dtype=dtype)
+    g = np.zeros((len(steps), op.domain_dim, k), dtype=_working_dtype(op, ys))
     if start is not None:
         g[:] = start
     out = np.zeros_like(g)  # each column's final g, written when it retires
@@ -336,6 +326,11 @@ def _solve_block(op, ys, lams, gamma, tol, max_iter, callback=None, start=None):
             g, ys, thr, live = (a[..., keep] for a in (g, ys, thr, live))
             anderson.compact(keep)
     return out, iterations, deltas, converged
+
+
+def _working_dtype(op, data):
+    """``np.result_type(op.dtype, data)``, long doubles cut to ``_Anderson``'s 64-bit floats."""
+    return np.complex128 if np.result_type(op.dtype, data).kind == "c" else np.float64
 
 
 def _steps(gram, gamma):
@@ -496,15 +491,10 @@ def debias_on_support(a_op: LinearOperator, y, x) -> np.ndarray:
     ``y`` its codomain length, and both must be finite (``ValueError``
     otherwise).
     """
-    x = _finite(x, "x")
-    y = _finite(y, "y")
-    if x.shape != (a_op.domain_dim,) or y.shape != (a_op.codomain_dim,):
-        raise ValueError(
-            f"need x of shape ({a_op.domain_dim},) and y of shape ({a_op.codomain_dim},),"
-            f" got {x.shape} and {y.shape}"
-        )
+    x = _finite(_shape(x, (a_op.domain_dim,), "x"), "x")
+    y = _finite(_shape(y, (a_op.codomain_dim,), "y"), "y")
     support = np.flatnonzero(np.abs(x) > 1e-8)
-    out = np.zeros(x.shape, dtype=np.result_type(x.dtype, a_op.dtype))
+    out = np.zeros(x.shape, dtype=np.result_type(a_op.dtype, x))
     if support.size == 0:
         return out
     basis = np.zeros((a_op.domain_dim, support.size), dtype=a_op.dtype)

@@ -33,7 +33,7 @@ class TestThreshold:
         "flags",
         [["--y-max", "inf"], ["--y-max", "nan"], ["--mu", "inf"], ["--lambda", "nan"],
          ["--points", "100000000000"], ["--y-max", "0"], ["--mu", "nan"], ["--lambda", "inf"],
-         ["--lambda", "0"], ["--lambda", "-1"]],
+         ["--lambda", "0"], ["--lambda", "-1"], ["--y-max", "1e308"]],
     )
     def test_non_finite_flag_is_usage_error(self, tmp_path, flags, capsys):
         assert main(["threshold", *flags, "--out", str(tmp_path / "o")]) == 2

@@ -54,6 +54,11 @@ class TestSignals:
         with pytest.raises(ValueError):
             Signal(np.array([1.0, np.inf]))
 
+    def test_signal_is_one_dimensional(self):
+        with pytest.raises(ValueError, match="samples"):
+            Signal(np.ones((2, 2)))
+        assert len(Signal([])) == 0  # any length, zero included
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(frequencies=(0.1, 0.6))

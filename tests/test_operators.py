@@ -107,6 +107,10 @@ class TestForwardAdjoint:
         with pytest.raises(ValueError, match="finite"):
             DenseOperator([[1.0, bad], [0.0, 1.0]])
 
+    def test_dense_rejects_non_matrix_entries(self):
+        with pytest.raises(ValueError, match="entries"):
+            DenseOperator(np.ones(3))
+
     @pytest.mark.parametrize("op", BLOCK_OPERATORS, ids=lambda o: type(o).__name__)
     def test_dimension_mismatch(self, op):
         n, m = op.domain_dim, op.codomain_dim

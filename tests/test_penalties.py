@@ -258,7 +258,9 @@ class TestInput:
     def test_empty_batch_raises(self, evaluate):
         # zero columns would reach the solver kernel, which needs one
         pen = GmcPenalty(DenseOperator(np.eye(2)))
-        with pytest.raises(ValueError, match="vectors of length 2"):
+        with pytest.raises(
+            ValueError, match=r"x must hold at least one column, got shape \(2, 0\)"
+        ):
             evaluate(pen, np.zeros((2, 0)))
 
     @pytest.mark.parametrize(
@@ -266,7 +268,7 @@ class TestInput:
     )
     def test_several_columns_raise(self, evaluate):
         pen = GmcPenalty(DenseOperator(np.eye(2)))
-        with pytest.raises(ValueError, match="single vector"):
+        with pytest.raises(ValueError, match=r"x must have shape \(2, 1\), got \(2, 3\)"):
             evaluate(pen, np.ones((2, 3)))
 
     def test_penalty_is_frozen(self):

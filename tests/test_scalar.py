@@ -239,6 +239,21 @@ class TestFirm:
             warnings.simplefilter("error")
             assert threshold() == 1e10 - 1
 
+    @pytest.mark.parametrize(
+        "threshold,y",
+        [
+            (lambda y: firm(y, FirmParams(1.0, 2.0)), 1e308),
+            (lambda y: firm(y, FirmParams(1.0, 2.0)), -1e308),
+            (lambda y: diagonal_solve(np.ones(1), np.array([y]), 1.0, 0.5)[0], 1e308),
+        ],
+        ids=["firm", "firm_negative", "diagonal_solve"],
+    )
+    def test_huge_y_above_mu_does_not_overflow(self, threshold, y):
+        # the middle piece overflows where it is discarded: no warning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert threshold(y) == y
+
 
 class TestConvexityCondition:
     def test_boundary_and_violation(self):

@@ -169,6 +169,13 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             ista_solve(a, y, 0.5)
 
+    def test_wrong_shape_y_raises(self):
+        a = DenseOperator(np.eye(2))
+        with pytest.raises(ValueError, match="y must have"):
+            gmc_solve(a, np.ones(3), SolveConfig(lam=0.5, gamma=0.5))
+        with pytest.raises(ValueError, match="y must have"):
+            ista_solve(a, np.ones((2, 1)), 0.5)
+
     def test_complex_nan_raises(self):
         y = np.ones(16, dtype=complex)
         y[0] = complex(0.0, np.nan)
@@ -780,8 +787,9 @@ class TestDiagonalSolve:
             ([1.0, 2.0], [1 + 1j, 3.0], "real"),
             ([1.0, 2.0], [np.nan, 3.0], "aty must be finite"),
             ([np.inf, 2.0], [1.0, 3.0], "alphas must be finite"),
+            ([1.0, 1.0], [1.0, 1.0, 1.0], "aty must"),
         ],
-        ids=["complex_aty", "nan_aty", "inf_alpha"],
+        ids=["complex_aty", "nan_aty", "inf_alpha", "aty_length"],
     )
     def test_bad_arrays_are_refused(self, alphas, aty, match):
         # refused by name, not with a ComplexWarning and a dropped imaginary
@@ -831,7 +839,7 @@ class TestCostValue:
             cost_value(a, y, 0.5, gamma, np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             cost_value_many(a, y, 0.5, gamma, np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="vectors of length 3"):
+        with pytest.raises(ValueError, match=r"x must have shape \(3,\), got \(\)"):
             cost_value(a, np.ones(3), 0.5, gamma, 3.0)  # a scalar x
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -890,5 +898,8 @@ class TestDebias:
 
     @pytest.mark.parametrize("x_len,y_len", [(10, 100), (256, 10)])
     def test_wrong_length_raises(self, x_len, y_len):
-        with pytest.raises(ValueError, match="need x of shape"):
+        with pytest.raises(
+            ValueError,
+            match=r"(x must have shape \(256,\)|y must have shape \(100,\)), got \(10,\)",
+        ):
             debias_on_support(DftFrameOperator(100, 256), np.ones(y_len), np.ones(x_len))
